@@ -16,6 +16,7 @@ single-writer atomic-rename semantics, exactly the pre-lock contract.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -31,18 +32,38 @@ _WARNED = False
 
 
 class FileLock:
-    """An exclusive advisory lock on a path (re-entrant per instance)."""
+    """An exclusive advisory lock on a path.
+
+    Re-entrant per thread and safe to share between threads: a
+    per-instance :class:`threading.RLock` is held from :meth:`acquire`
+    to the matching final :meth:`release`, so a second thread blocks
+    instead of entering, and only the owning thread can drop the
+    ``flock`` or close its descriptor.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._guard = threading.RLock()
+        self._owner: Optional[int] = None
         self._fd: Optional[int] = None
         self._depth = 0
 
     def acquire(self) -> None:
-        """Block until the lock is held."""
+        """Block until the lock is held by the calling thread."""
+        self._guard.acquire()
         if self._depth > 0:
             self._depth += 1
             return
+        try:
+            self._fd = self._lock_file()
+        except BaseException:
+            self._guard.release()
+            raise
+        self._owner = threading.get_ident()
+        self._depth = 1
+
+    def _lock_file(self) -> Optional[int]:
+        """``flock`` the lock file; returns its descriptor."""
         if fcntl is None:  # pragma: no cover - non-POSIX
             global _WARNED
             if not _WARNED:
@@ -50,9 +71,8 @@ class FileLock:
                 warnings.warn(
                     "fcntl is unavailable; cache writes fall back to "
                     "unlocked atomic renames (single-writer semantics)",
-                    RuntimeWarning, stacklevel=3)
-            self._depth = 1
-            return
+                    RuntimeWarning, stacklevel=4)
+            return None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT, 0o644)
         try:
@@ -60,22 +80,25 @@ class FileLock:
         except BaseException:
             os.close(fd)
             raise
-        self._fd = fd
-        self._depth = 1
+        return fd
 
     def release(self) -> None:
-        """Drop the lock (kernel drops it anyway if the process dies)."""
-        if self._depth == 0:
+        """Drop one level of the calling thread's hold (no-op if it
+        holds none; the kernel drops the lock anyway if the process
+        dies)."""
+        if self._depth == 0 or self._owner != threading.get_ident():
             return
         self._depth -= 1
-        if self._depth > 0:
-            return
-        if self._fd is not None:
-            try:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)  # type: ignore[union-attr]
-            finally:
-                os.close(self._fd)
-                self._fd = None
+        try:
+            if self._depth == 0:
+                fd, self._fd, self._owner = self._fd, None, None
+                if fd is not None:
+                    try:
+                        fcntl.flock(fd, fcntl.LOCK_UN)  # type: ignore[union-attr]
+                    finally:
+                        os.close(fd)
+        finally:
+            self._guard.release()
 
     @property
     def held(self) -> bool:

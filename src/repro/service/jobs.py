@@ -44,8 +44,10 @@ from ..durability.journal import RunJournal, decode_blob, encode_blob
 from ..obs.tracer import Tracer
 from ..sim.executors import SweepExecutor
 from ..sim.retry import RetryPolicy
-from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,
-                         cell_key, code_salt)
+# ``cell_key`` is imported for the per-layer tracer in benchmarks/perf,
+# which wraps it here; identities hash through the batched ``cell_keys``.
+from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,  # noqa: F401
+                         cell_key, cell_keys, code_salt)
 from .schemas import ApiError
 
 __all__ = ["Job", "JobStore", "job_id_for", "DIST_WORKERS_ENV"]
@@ -71,7 +73,7 @@ def job_id_for(spec: SweepSpec, salt: Optional[str] = None) -> str:
     salt = salt if salt is not None else code_salt()
     digest = hashlib.sha256()
     digest.update(spec.kind.encode())
-    for key in sorted(cell_key(cell, salt) for cell in spec.expand()):
+    for key in sorted(cell_keys(spec.expand(), salt)):
         digest.update(key.encode())
     return digest.hexdigest()[:32]
 

@@ -8,9 +8,10 @@ that implicit pattern into an explicit engine:
 
 * :class:`SweepSpec` declares the grid and expands it into
   :class:`ScenarioCell` rows in a deterministic order;
-* :class:`ScenarioRunner` executes the cells -- serially or fanned out
-  over a ``ProcessPoolExecutor`` -- with results returned in spec
-  order, so parallel output is identical to serial output;
+* :class:`ScenarioRunner` executes the cells -- serially, fanned out
+  over a ``ProcessPoolExecutor``, or, for a big enough in-process
+  batch, as rows of one vectorised fleet simulation -- with results
+  returned in spec order and identical on every path;
 * an optional on-disk cache keyed by a content hash of the scenario
   configuration plus a code-version salt lets a re-run recompute only
   the cells whose inputs actually changed;
@@ -38,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import logging
 import os
 import pickle
 import tempfile
@@ -45,7 +47,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import numpy as np
 
@@ -82,6 +85,8 @@ CellOutcome = Union[DischargeResult, MultiDayResult, CellFailure]
 
 #: Backward-compatible alias (the implementation moved to executors).
 _timed_cell = timed_cell
+
+_log = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -264,21 +269,47 @@ def _canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+def cell_keys(cells: Sequence[ScenarioCell],
+              salt: Optional[str] = None) -> List[str]:
+    """Content-hash cache keys for a batch of cells (index-independent).
+
+    A grid shares one policy, trace and profile object across many
+    cells, so each axis object is canonicalised once per call, memoised
+    by identity.  The memo lives only for this call: a caller that
+    mutates a policy between calls gets a fresh key, never a stale one.
+    The memo pins every object it saw, so an ``id`` cannot be reused
+    by a new object while the call runs.
+    """
+    salt = salt if salt is not None else code_salt()
+    memo: Dict[int, Tuple[Any, Any]] = {}
+
+    def canonical(obj: Any) -> Any:
+        hit = memo.get(id(obj))
+        if hit is None:
+            hit = memo[id(obj)] = (obj, _canonical(obj))
+        return hit[1]
+
+    keys: List[str] = []
+    for cell in cells:
+        payload = (
+            salt,
+            cell.kind,
+            cell.control_dt,
+            cell.ambient_c,
+            cell.max_duration_s,
+            cell.record_every,
+            canonical(cell.policy),
+            canonical(cell.trace),
+            canonical(cell.profile),
+            _canonical(dict(cell.extra)),
+        )
+        keys.append(hashlib.sha256(repr(payload).encode()).hexdigest())
+    return keys
+
+
 def cell_key(cell: ScenarioCell, salt: Optional[str] = None) -> str:
-    """Content-hash cache key for a cell (index-independent)."""
-    payload = (
-        salt if salt is not None else code_salt(),
-        cell.kind,
-        cell.control_dt,
-        cell.ambient_c,
-        cell.max_duration_s,
-        cell.record_every,
-        _canonical(cell.policy),
-        _canonical(cell.trace),
-        _canonical(cell.profile),
-        _canonical(dict(cell.extra)),
-    )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    """Content-hash cache key for one cell (index-independent)."""
+    return cell_keys([cell], salt)[0]
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +392,11 @@ class SimStats:
     #: Pending cells that found an in-cell sidecar checkpoint to
     #: continue from (their completed steps are not re-simulated).
     cells_checkpoint_resumed: int = 0
+    #: Computed cells that ran as rows of one vectorised fleet batch
+    #: (see :data:`FLEET_MIN_ROWS`); the rest ran on the scalar engine.
+    cells_fleet: int = 0
+    #: Fleet batches that raised and were rerun on the scalar engine.
+    fleet_fallbacks: int = 0
     #: Control steps across computed cells (cache hits excluded).
     steps_total: int = 0
     #: Wall time spent expanding the spec / hashing keys (s).
@@ -375,8 +411,8 @@ class SimStats:
     backoff_wait_s: float = 0.0
     workers: int = 1
     #: Executor backend that ran the pending cells ("local",
-    #: "distributed", ...; "none" when everything came from cache or
-    #: the journal).
+    #: "distributed", ...; "none" when no executor ran because every
+    #: cell came from cache, the journal or a fleet batch).
     executor: str = "none"
     #: Per-cell timeout mechanism for in-process execution: "none"
     #: (no budget), "sigalrm" (hard POSIX alarm) or "cooperative"
@@ -528,25 +564,27 @@ def _cell_matches(cell: ScenarioCell, axes: Mapping[str, Any]) -> bool:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _fleet_cell_supported(cell: ScenarioCell) -> bool:
-    """Whether the fleet backend can batch this cell exactly."""
-    if cell.kind != "discharge" or cell.extra:
-        return False
-    from ..fleet import supports_policy
-
-    return supports_policy(cell.policy)
+#: Fewest pending fleet-eligible cells worth one vectorised batch.
+#: Measured on a 2-vCPU host, best of 3, on 300 s cells mixing
+#: Dual/Heuristic/CAPMAN rows (400 mAh, video and PCMark traces, three
+#: phones): scalar vs fleet wall time was 0.020 vs 0.159 s at 1 row,
+#: 0.18 vs 0.22 s at 8, 0.24 vs 0.25 s at 12, 0.43 vs 0.27 s at 16 and
+#: 1.71 vs 0.35 s at 72.  The crossover sits near 12 rows; 16 leaves
+#: a margin on either side of it.
+FLEET_MIN_ROWS = 16
 
 
 def _run_fleet_batch(
     cells: Sequence[ScenarioCell],
-) -> List[Tuple[int, CellOutcome, float, int]]:
+) -> Optional[List[Tuple[int, CellOutcome, float, int]]]:
     """Run eligible cells as one vectorised batch.
 
     Returns the same ``(index, outcome, seconds, steps)`` tuples as
     :func:`_timed_cell`; the batch wall time is amortised evenly over
-    its cells so :class:`SimStats` totals stay meaningful.  Any batch
-    failure falls back to per-cell scalar execution -- batching is an
-    optimisation, never a new failure mode.
+    its cells so :class:`SimStats` totals stay meaningful.  Returns
+    None if the batch raised: batching is an optimisation, never a new
+    failure mode, so the caller reruns the cells on the scalar engine
+    and counts the fallback.
 
     The batch honours the ``CAPMAN_FLEET_SHARDS`` env var: with a
     count above 1 the fleet row-shards across worker processes
@@ -566,7 +604,9 @@ def _run_fleet_batch(
             for cell in cells])
         results = spec.build().run_sharded()
     except Exception:
-        return [_timed_cell(cell) for cell in cells]
+        _log.warning("fleet batch of %d cells failed; rerunning them on "
+                     "the scalar engine", len(cells), exc_info=True)
+        return None
     elapsed = (time.perf_counter() - started) / len(cells)
     return [(cell.index, result, elapsed, result.step_count)
             for cell, result in zip(cells, results)]
@@ -630,17 +670,19 @@ class ScenarioRunner:
         cells: a cell whose control loop stops beating for this long
         has its latest sidecar checkpoint flushed and is retired as a
         contained timeout failure.
-    backend:
-        ``"scalar"`` (default) runs every cell through the scalar
-        engine.  ``"fleet"`` batches eligible discharge cells (no
-        ``extra`` kwargs, fleet-supported policy) through
-        :class:`repro.fleet.FleetSimulator` -- results are bit-for-bit
-        the scalar ones, just computed as one vectorised batch.
-        Ineligible cells, journalled sweeps and observed sweeps fall
-        back to the scalar path automatically.  Setting the
-        ``CAPMAN_FLEET_SHARDS`` env var above 1 additionally
-        row-shards each fleet batch across worker processes (results
-        unchanged, byte for byte).
+
+    Engine choice is automatic.  When the runner executes in-process
+    (no ``executor``, one worker), no per-cell bound is set
+    (``cell_timeout_s`` and ``stall_timeout_s`` are None), journalled
+    cells write no sidecar checkpoints (``checkpoint_every_steps`` is
+    0) and obs is off, the pending fleet-supported discharge cells run
+    as one vectorised :class:`repro.fleet.FleetSimulator` batch --
+    provided there are at least :data:`FLEET_MIN_ROWS` of them.  Their
+    results are bit-for-bit the scalar ones; every other cell runs on
+    the scalar engine, which stays the oracle.  ``SimStats.cells_fleet``
+    and ``SimStats.fleet_fallbacks`` count the choice.  Setting the
+    ``CAPMAN_FLEET_SHARDS`` env var above 1 row-shards each fleet batch
+    across worker processes (results unchanged, byte for byte).
     """
 
     def __init__(
@@ -653,7 +695,6 @@ class ScenarioRunner:
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
         stall_timeout_s: Optional[float] = None,
-        backend: str = "scalar",
         retry: Optional[RetryPolicy] = None,
         executor: Optional[SweepExecutor] = None,
     ) -> None:
@@ -676,9 +717,6 @@ class ScenarioRunner:
             raise ValueError("checkpoint_every_steps must be non-negative")
         self.checkpoint_every_steps = checkpoint_every_steps
         self.stall_timeout_s = stall_timeout_s
-        if backend not in ("scalar", "fleet"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         #: Guards the per-cell state map behind :meth:`progress`.
         self._progress_lock = threading.Lock()
         self._cell_states: Dict[int, str] = {}
@@ -800,6 +838,39 @@ class ScenarioRunner:
         return self.run(spec)
 
     # ------------------------------------------------------------------
+    def _fleet_batch(self, pending: Sequence[ScenarioCell],
+                     journal: Optional[RunJournal],
+                     observing: bool) -> List[ScenarioCell]:
+        """The pending cells that run as one fleet batch (maybe none).
+
+        The fleet engine runs a batch in this process with no per-row
+        wall-clock bound, no sidecar checkpoints and no per-cycle
+        telemetry, so the batch forms only where none of those is
+        asked for, and only when it is big enough to beat the scalar
+        engine (:data:`FLEET_MIN_ROWS`).  The cheap gates run first:
+        :func:`repro.fleet.supports_policy` builds a throwaway pack,
+        which can be slow, so it runs once per distinct policy object.
+        """
+        if (self.executor is not None or self.workers != 1
+                or self.cell_timeout_s is not None
+                or self.stall_timeout_s is not None
+                or (journal is not None and self.checkpoint_every_steps)
+                or observing or len(pending) < FLEET_MIN_ROWS):
+            return []
+        from ..fleet import supports_policy
+
+        supported: Dict[int, bool] = {}
+        batch: List[ScenarioCell] = []
+        for cell in pending:
+            if cell.kind != "discharge" or cell.extra:
+                continue
+            ok = supported.get(id(cell.policy))
+            if ok is None:
+                ok = supported[id(cell.policy)] = supports_policy(cell.policy)
+            if ok:
+                batch.append(cell)
+        return batch if len(batch) >= FLEET_MIN_ROWS else []
+
     def _run(self, spec: SweepSpec, journal: Optional[RunJournal],
              committed: Dict[int, CellResult],
              salt: Optional[str],
@@ -834,7 +905,7 @@ class ScenarioRunner:
             if self.cache is not None or journal is not None:
                 if salt is None:
                     salt = self._salt if self._salt is not None else code_salt()
-                keys = [cell_key(cell, salt) for cell in cells]
+                keys = cell_keys(cells, salt)
             stats.expand_wall_s = time.perf_counter() - expand_started
 
             results: List[Optional[CellResult]] = [None] * len(cells)
@@ -866,6 +937,9 @@ class ScenarioRunner:
                 stats.cache_wall_s += time.perf_counter() - cache_started
 
             ckpts: Dict[int, str] = {}
+            # Cells continuing from a sidecar: the scalar engine resumes
+            # them mid-cycle, so they never join a fleet batch.
+            resumable: Set[int] = set()
             if journal is not None and pending:
                 sidecar_dir = Path(str(journal.path) + ".d")
                 for cell in pending:
@@ -873,6 +947,7 @@ class ScenarioRunner:
                     ckpts[cell.index] = str(sidecar)
                     if sidecar.exists():
                         stats.cells_checkpoint_resumed += 1
+                        resumable.add(cell.index)
                 for cell in pending:
                     journal.append("cell_start", {
                         "index": cell.index,
@@ -904,80 +979,78 @@ class ScenarioRunner:
                     except OSError:
                         pass
 
-            # Peel off cells the vectorised fleet backend can batch.
-            # Journalled and observed sweeps keep the scalar path: the
-            # journal commits per cell as it lands, and telemetry is
-            # harvested per cycle scope -- neither exists batch-wise.
-            fleet_batch: List[ScenarioCell] = []
-            if (pending and self.backend == "fleet" and journal is None
-                    and not observing):
-                fleet_batch = [cell for cell in pending
-                               if _fleet_cell_supported(cell)]
-                if fleet_batch:
+            computed: List[Tuple[int, CellOutcome, float, int]] = []
+            fleet_batch = self._fleet_batch(
+                [cell for cell in pending if cell.index not in resumable],
+                journal, observing)
+            if fleet_batch:
+                for cell in fleet_batch:
+                    self._set_state(cell.index, "running")
+                fleet_items = _run_fleet_batch(fleet_batch)
+                if fleet_items is None:
+                    stats.fleet_fallbacks += 1
+                    for cell in fleet_batch:
+                        self._set_state(cell.index, "queued")
+                else:
+                    stats.cells_fleet += len(fleet_items)
+                    for index, outcome, _, _ in fleet_items:
+                        _finalise(index, outcome)
+                    computed.extend(fleet_items)
                     taken = {cell.index for cell in fleet_batch}
                     pending = [cell for cell in pending
                                if cell.index not in taken]
 
-            if pending or fleet_batch:
-                computed: List[Tuple[int, CellOutcome, float, int]] = []
-                if fleet_batch:
-                    computed.extend(_run_fleet_batch(fleet_batch))
-                if pending:
-                    executor = self.executor or LocalProcessExecutor(
-                        self.workers)
-                    ctx = ExecutionContext(
-                        cell_timeout_s=self.cell_timeout_s,
-                        ckpts=ckpts,
-                        checkpoint_every_steps=self.checkpoint_every_steps,
-                        stall_timeout_s=self.stall_timeout_s,
-                        retry=self.retry,
-                        workers=self.workers,
-                        obs_enabled=observing,
-                        on_final=_finalise,
-                        stats=stats,
-                        journal_append=(journal.append
-                                        if journal is not None else None),
-                        replayed_grants=dict(replayed_grants or {}),
-                        on_start=lambda index: self._set_state(
-                            index, "running"),
-                    )
-                    executor.attach(ctx)
-                    try:
-                        computed.extend(executor.run(pending))
-                    finally:
-                        executor.detach()
-                    stats.executor = executor.name
-                    if observing:
-                        # Serially computed cells already merged their
-                        # cycle scopes into the sweep scope in-process;
-                        # remote cells ship their blobs on the result,
-                        # and the executor tells them apart.
-                        remote_blobs.extend(executor.remote_blobs())
-                for index, result, elapsed, steps in computed:
-                    results[index] = result
-                    stats.compute_wall_s += elapsed
-                    stats.steps_total += steps
-                    stats.cells_computed += 1
-                    if isinstance(result, CellFailure):
-                        stats.cells_failed += 1
-                    # Fleet-batched cells bypass ctx.finalise; settle
-                    # their progress state here (idempotent elsewhere).
-                    self._set_state(index, "failed"
-                                    if isinstance(result, CellFailure)
-                                    else "done")
-                if self.cache is not None:
-                    cache_started = time.perf_counter()
-                    for index, result, _, _ in computed:
-                        if not isinstance(result, CellFailure):
-                            # Telemetry is run-local observability, not
-                            # simulated outcome: cache entries are stored
-                            # without it so a later (possibly obs-off) run
-                            # never replays another run's counters.
-                            if getattr(result, "telemetry", None) is not None:
-                                result = dataclasses.replace(result,
-                                                             telemetry=None)
-                            self.cache.put(keys[index], result)  # type: ignore[arg-type]
-                    stats.cache_wall_s += time.perf_counter() - cache_started
+            if pending:
+                executor = self.executor or LocalProcessExecutor(
+                    self.workers)
+                ctx = ExecutionContext(
+                    cell_timeout_s=self.cell_timeout_s,
+                    ckpts=ckpts,
+                    checkpoint_every_steps=self.checkpoint_every_steps,
+                    stall_timeout_s=self.stall_timeout_s,
+                    retry=self.retry,
+                    workers=self.workers,
+                    obs_enabled=observing,
+                    on_final=_finalise,
+                    stats=stats,
+                    journal_append=(journal.append
+                                    if journal is not None else None),
+                    replayed_grants=dict(replayed_grants or {}),
+                    on_start=lambda index: self._set_state(
+                        index, "running"),
+                )
+                executor.attach(ctx)
+                try:
+                    computed.extend(executor.run(pending))
+                finally:
+                    executor.detach()
+                stats.executor = executor.name
+                if observing:
+                    # Serially computed cells already merged their
+                    # cycle scopes into the sweep scope in-process;
+                    # remote cells ship their blobs on the result,
+                    # and the executor tells them apart.
+                    remote_blobs.extend(executor.remote_blobs())
+            for index, result, elapsed, steps in computed:
+                results[index] = result
+                stats.compute_wall_s += elapsed
+                stats.steps_total += steps
+                stats.cells_computed += 1
+                if isinstance(result, CellFailure):
+                    stats.cells_failed += 1
+            if self.cache is not None and computed:
+                cache_started = time.perf_counter()
+                for index, result, _, _ in computed:
+                    if not isinstance(result, CellFailure):
+                        # Telemetry is run-local observability, not
+                        # simulated outcome: cache entries are stored
+                        # without it so a later (possibly obs-off) run
+                        # never replays another run's counters.
+                        if getattr(result, "telemetry", None) is not None:
+                            result = dataclasses.replace(result,
+                                                         telemetry=None)
+                        self.cache.put(keys[index], result)  # type: ignore[arg-type]
+                stats.cache_wall_s += time.perf_counter() - cache_started
 
             stats.total_wall_s = time.perf_counter() - run_started
         finally:

@@ -1,10 +1,12 @@
 """Tests for the networked sweep cache and for FileLock/SweepCache
-under real multi-process contention and torn writes."""
+under real multi-process and multi-thread contention and torn writes."""
 
 import multiprocessing
 import os
 import pickle
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -239,3 +241,95 @@ class TestCacheContention:
         cache = SweepCache(tmp_path / "c")
         cache.put("k", "after-crash")
         assert cache.get("k") == "after-crash"
+
+
+# ----------------------------------------------------------------------
+# Thread contention: one SweepCache (and so one FileLock) shared by the
+# service's job-runner threads
+# ----------------------------------------------------------------------
+class _Monitor:
+    """Counts how many threads are inside a cache write at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.inside = 0
+        self.overlaps = 0
+
+    def enter(self):
+        with self._lock:
+            self.inside += 1
+            self.overlaps += self.inside > 1
+
+    def leave(self):
+        with self._lock:
+            self.inside -= 1
+
+
+class _Probe:
+    """A cached value whose pickling -- done by ``SweepCache.put``
+    under the cache lock -- reports to a monitor and lingers, so two
+    threads inside the lock at once are seen as an overlap."""
+
+    def __init__(self, tag, monitor=None):
+        self.tag = tag
+        self.monitor = monitor
+
+    def __getstate__(self):
+        self.monitor.enter()
+        time.sleep(0.0005)
+        self.monitor.leave()
+        return {"tag": self.tag}
+
+    def __setstate__(self, state):
+        self.tag, self.monitor = state["tag"], None
+
+    def __eq__(self, other):
+        return isinstance(other, _Probe) and other.tag == self.tag
+
+
+def _hammer_threads(cache, monitor, n_threads, rounds):
+    """Put + get from ``n_threads`` threads at a tiny switch interval.
+
+    Returns ``(errors, stuck)``: exceptions raised in any thread, and
+    threads still running after the join timeout (a leaked flock
+    wedges them).
+    """
+    errors = []
+
+    def work(tid):
+        try:
+            for i in range(rounds):
+                key = f"t{tid}-{i % 4}"
+                cache.put(key, _Probe((tid, i), monitor))
+                got = cache.get(key)
+                if got != _Probe((tid, i)):
+                    errors.append(AssertionError(f"{key}: read {got!r}"))
+        except Exception as exc:  # noqa: BLE001 - collected, asserted
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,), daemon=True)
+               for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    return errors, [t for t in threads if t.is_alive()]
+
+
+class TestThreadContention:
+    def test_one_cache_hammered_from_four_threads(self, tmp_path):
+        cache = SweepCache(tmp_path / "shared")
+        monitor = _Monitor()
+        errors, stuck = _hammer_threads(cache, monitor, n_threads=4,
+                                        rounds=200)
+        assert not stuck, f"{len(stuck)} threads wedged on the cache lock"
+        assert not errors, errors[:3]
+        assert monitor.overlaps == 0, "two threads wrote under one lock"
+        assert not cache.lock.held
+        for tid in range(4):
+            assert cache.get(f"t{tid}-3") == _Probe((tid, 199))

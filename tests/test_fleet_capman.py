@@ -26,6 +26,7 @@ from repro.device.profiles import HONOR, NEXUS
 from repro.fleet import DeviceSpec, FleetSpec
 from repro.fleet.simulator import SHARDS_ENV
 from repro.sim.discharge import run_discharge_cycle
+from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -242,12 +243,15 @@ def test_sweep_fleet_backend_honours_shards_env(monkeypatch):
         traces={"video": _TRACE},
         profiles={"Nexus": NEXUS, "Honor": HONOR},
         control_dts=(CONTROL_DT,),
+        ambients_c=(25.0, 30.0, 35.0, 40.0),
         max_duration_s=MAX_DURATION_S,
     )
-    scalar = ScenarioRunner(workers=1).run(spec)
+    scalar = ScenarioRunner(
+        workers=1, executor=LocalProcessExecutor(1)).run(spec)
     monkeypatch.setenv(SHARDS_ENV, "2")
-    fleet = ScenarioRunner(workers=1, backend="fleet").run(spec)
-    assert len(fleet.results) == len(scalar.results) == 4
+    fleet = ScenarioRunner(workers=1).run(spec)
+    assert fleet.stats.cells_fleet == 16
+    assert len(fleet.results) == len(scalar.results) == 16
     for mine, theirs in zip(fleet.results, scalar.results):
         assert _frozen(mine) == _frozen(theirs)
 

@@ -5,8 +5,8 @@ reproduce :func:`repro.sim.discharge.run_discharge_cycle` exactly --
 ``pickle.dumps`` equality on the whole :class:`DischargeResult`
 (wall-clock and telemetry masked, everything else compared byte for
 byte, including every metrics sample).  The same holds for every row
-of a heterogeneous batch, and for sweeps routed through
-``backend="fleet"``.
+of a heterogeneous batch, and for sweeps the runner routes onto the
+fleet engine.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.device.profiles import HONOR, NEXUS
 from repro.fleet import (DeviceSpec, FleetSpec, UnsupportedDeviceError,
                          supports_policy)
 from repro.sim.discharge import run_discharge_cycle
+from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -174,6 +175,8 @@ def _sweep_spec() -> SweepSpec:
         policies={
             "capman": CapmanPolicy(capacity_mah=CAPACITY_MAH),
             "dual": DualPolicy(capacity_mah=CAPACITY_MAH),
+            "heuristic": HeuristicPolicy(capacity_mah=CAPACITY_MAH),
+            "capman-replan": POLICIES["capman-replan"](),
             # Single-battery pack: fleet-unsupported, must silently take
             # the scalar path inside the same sweep.
             "practice": PracticePolicy(capacity_mah=2 * CAPACITY_MAH),
@@ -181,21 +184,21 @@ def _sweep_spec() -> SweepSpec:
         traces={"video": _TRACE},
         profiles={"Nexus": NEXUS, "Honor": HONOR},
         control_dts=(CONTROL_DT,),
+        ambients_c=(25.0, 35.0),
         max_duration_s=MAX_DURATION_S,
     )
 
 
 def test_sweep_fleet_backend_matches_scalar_backend():
-    scalar = ScenarioRunner(workers=1).run(_sweep_spec())
-    fleet = ScenarioRunner(workers=1, backend="fleet").run(_sweep_spec())
+    """The default in-process runner batches the 16 fleet-supported
+    cells; an explicit executor keeps every cell on the scalar engine."""
+    scalar = ScenarioRunner(
+        workers=1, executor=LocalProcessExecutor(1)).run(_sweep_spec())
+    fleet = ScenarioRunner(workers=1).run(_sweep_spec())
 
-    assert len(fleet.results) == len(scalar.results) == 6
+    assert len(fleet.results) == len(scalar.results) == 20
+    assert (scalar.stats.cells_fleet, fleet.stats.cells_fleet) == (0, 16)
     for mine, theirs in zip(fleet.results, scalar.results):
         assert _frozen(mine) == _frozen(theirs)
     assert fleet.stats.cells_computed == scalar.stats.cells_computed
     assert fleet.stats.steps_total == scalar.stats.steps_total
-
-
-def test_sweep_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend"):
-        ScenarioRunner(backend="gpu")

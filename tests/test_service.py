@@ -17,11 +17,17 @@ the public HTTP surface:
 import base64
 import http.client
 import json
+import os
 import pickle
+import statistics
+import threading
+import time
 
 import pytest
 
 from repro.service import CapmanService, job_id_for, parse_spec
+from repro.service.jobs import DONE, FAILED, JobStore
+from repro.sim import sweep as sweep_module
 from repro.sim.sweep import ScenarioRunner
 
 from service_client import api, small_grid, wait_for_job
@@ -150,3 +156,79 @@ class TestEndToEnd:
 
     def test_healthz_is_open_and_truthful(self, base):
         assert api(base, "GET", "/healthz") == (200, {"ok": True})
+
+    def test_kept_alive_connection_answers_without_a_nagle_stall(
+            self, service):
+        host, port = service.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        rtts = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["ok"]
+                rtts.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert statistics.median(rtts) < 0.020, rtts
+
+
+class _RendezvousOs:
+    """``os`` for the sweep module, with a rendezvous in ``replace``.
+
+    ``SweepCache.put`` renames its temp file into place while holding
+    the cache lock.  Each rename waits (bounded) for a second thread
+    to arrive: if the lock excludes threads, nobody arrives and the
+    wait times out; if two threads are inside at once they meet and
+    the overlap is recorded.
+    """
+
+    def __init__(self, timeout_s):
+        self._barrier = threading.Barrier(2)
+        self._timeout_s = timeout_s
+        self._guard = threading.Lock()
+        self._inside = 0
+        self.overlaps = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, src, dst):
+        with self._guard:
+            self._inside += 1
+            self.overlaps += self._inside > 1
+        try:
+            self._barrier.wait(timeout=self._timeout_s)
+        except threading.BrokenBarrierError:
+            pass
+        with self._guard:
+            self._inside -= 1
+        return os.replace(src, dst)
+
+
+class TestConcurrentRunners:
+    def test_two_runner_threads_share_one_cache(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
+        rendezvous = _RendezvousOs(timeout_s=2.0)
+        monkeypatch.setattr(sweep_module, "os", rendezvous)
+        grids = [small_grid(capacities=(30.0, 40.0)),
+                 small_grid(capacities=(50.0, 60.0))]
+        store = JobStore(tmp_path / "state", job_runners=2)
+        try:
+            jobs = [store.submit(parse_spec(grid))[0] for grid in grids]
+            deadline = time.monotonic() + 60.0
+            while (any(job.state not in (DONE, FAILED) for job in jobs)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [job.state for job in jobs] == [DONE, DONE], \
+                [job.error for job in jobs]
+            assert rendezvous.overlaps == 0
+            for job, grid in zip(jobs, grids):
+                direct = ScenarioRunner().run(parse_spec(grid))
+                assert store.result_blobs(job.job_id) == [
+                    pickle.dumps(r, protocol=4) for r in direct.results]
+        finally:
+            store.close()
+

@@ -10,6 +10,8 @@ import pytest
 
 from repro.battery.aging import AgingModel
 from repro.capman.baselines import DualPolicy, PracticePolicy
+from repro.capman.controller import CapmanPolicy
+from repro.device.profiles import HONOR, NEXUS
 from repro.sim.daily import MultiDayResult
 from repro.sim.sweep import (
     CellFailure,
@@ -18,6 +20,7 @@ from repro.sim.sweep import (
     SweepCache,
     SweepSpec,
     cell_key,
+    cell_keys,
 )
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -92,6 +95,34 @@ class TestSpec:
         spec = _spec(trace, control_dts=(1.0, 2.0))
         keys = {cell_key(c, salt="s") for c in spec.expand()}
         assert len(keys) == len(spec)
+
+    def test_batched_keys_equal_per_cell_keys(self, trace):
+        """Shared axis objects, equal-but-distinct twins and daily cells
+        with extra arguments all hash as they do one cell at a time."""
+        twin = record_trace(VideoWorkload(seed=5), 120.0)
+        discharge = _spec(
+            trace,
+            policies={"Dual": DualPolicy(capacity_mah=40.0),
+                      "Dual-twin": DualPolicy(capacity_mah=40.0),
+                      "Practice": PracticePolicy(capacity_mah=80.0),
+                      "CAPMAN": CapmanPolicy(capacity_mah=40.0)},
+            traces={"Video": trace, "Video-twin": twin},
+            profiles={"Nexus": NEXUS, "Honor": HONOR},
+            control_dts=(1.0, 2.0), ambients_c=(25.0, 35.0))
+        daily = _spec(trace, kind="daily", extra={"n_days": 2})
+        cells = discharge.expand() + daily.expand()
+        assert cell_keys(cells, salt="s") == [
+            cell_key(c, salt="s") for c in cells]
+        assert cell_keys(cells) == [cell_key(c) for c in cells]
+
+    def test_batched_keys_see_mutation_between_calls(self, trace):
+        policy = DualPolicy(capacity_mah=40.0)
+        cells = _spec(trace, policies={"Dual": policy}).expand()
+        before = cell_keys(cells, salt="s")
+        policy.capacity_mah = 50.0
+        after = cell_keys(cells, salt="s")
+        assert before != after
+        assert after == [cell_key(c, salt="s") for c in cells]
 
 
 class TestParallelEqualsSerial:
