@@ -1,13 +1,16 @@
 """Scaling benchmark: fast vs reference Algorithm 1 solvers.
 
-Times both solver flavours on random decision graphs of growing size
-and on the profiled CAPMAN MDP, prints the speedup table, and asserts
-the acceptance bar: at thirty-plus states (sixty-plus action nodes) the
-vectorised solver is at least 5x faster while landing on the same
-fixed point to 1e-8.
+Times :class:`StructuralSimilarity` against the reference transcription
+kept in ``tests/similarity_oracle.py`` on random decision graphs of
+growing size and on the profiled CAPMAN MDP, prints the speedup table,
+and asserts the acceptance bar: at thirty-plus states (sixty-plus
+action nodes) the vectorised solver is at least 5x faster while landing
+on the same fixed point to 1e-8.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +18,12 @@ from repro.analysis.reporting import format_table
 from repro.core.graph import MDPGraph
 from repro.core.mdp import random_mdp
 from repro.core.similarity import StructuralSimilarity
+
+_TESTS = Path(__file__).resolve().parents[1] / "tests"
+if str(_TESTS) not in sys.path:
+    sys.path.insert(0, str(_TESTS))
+
+from similarity_oracle import solve_reference  # noqa: E402
 
 #: (n_states, n_actions, branching, absorbing) per scale step.
 SIZES = [
@@ -27,11 +36,13 @@ TOL = 1e-6
 MAX_ITER = 200
 
 
-def _solve(graph, fast):
+def solve_fast(graph, **kwargs):
+    return StructuralSimilarity(graph, **kwargs).solve()
+
+
+def _solve(graph, solve):
     started = time.perf_counter()
-    res = StructuralSimilarity(
-        graph, c_s=0.95, c_a=0.95, tol=TOL, max_iter=MAX_ITER, fast=fast
-    ).solve()
+    res = solve(graph, c_s=0.95, c_a=0.95, tol=TOL, max_iter=MAX_ITER)
     return res, time.perf_counter() - started
 
 
@@ -41,8 +52,8 @@ def _scaling_rows():
         graph = MDPGraph(
             random_mdp(n_states, n_actions, branching=branching, seed=7, absorbing=absorbing)
         )
-        ref, ref_s = _solve(graph, fast=False)
-        fast, fast_s = _solve(graph, fast=True)
+        ref, ref_s = _solve(graph, solve_reference)
+        fast, fast_s = _solve(graph, solve_fast)
         agreement = float(
             max(
                 np.abs(fast.state_sim - ref.state_sim).max(),

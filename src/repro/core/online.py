@@ -123,9 +123,6 @@ class OnlineScheduler:
         cache is invalidated by :meth:`mark_stale`, :meth:`recompute`
         and :meth:`build_similarity_index`.  Disable it to measure the
         raw per-decision overhead (the Figure 16 calibration does).
-    fast_similarity:
-        Solver flavour for :meth:`build_similarity_index`; the default
-        uses the vectorised Algorithm 1 path.
     """
 
     def __init__(
@@ -137,7 +134,6 @@ class OnlineScheduler:
         similarity_tol: float = 1e-3,
         similarity_max_iter: int = 25,
         decision_cache: bool = True,
-        fast_similarity: bool = True,
     ) -> None:
         if not 0.0 <= rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
@@ -152,7 +148,6 @@ class OnlineScheduler:
         self.similarity: Optional[SimilarityResult] = None
         self._similarity_tol = similarity_tol
         self._similarity_max_iter = similarity_max_iter
-        self._fast_similarity = fast_similarity
         self._stale: set = set()
         self.decisions: List[DecisionRecord] = []
         self.stats = SchedulerStats()
@@ -175,7 +170,6 @@ class OnlineScheduler:
             c_a=max(self.rho, 1e-6),
             tol=self._similarity_tol,
             max_iter=self._similarity_max_iter,
-            fast=self._fast_similarity,
         )
         self.similarity = solver.solve()
         self._decision_cache.clear()

@@ -24,16 +24,13 @@ matrices converge (the paper proves termination and uniqueness for
 discounts in (0,1)); the fixed point feeds the competitiveness bound of
 Eq. (10) -- see :mod:`repro.core.bounds`.
 
-Two interchangeable solvers run the recursion:
-
-* the *reference* solver is the direct transcription of Algorithm 1
-  (dense Python double loops, one SSP transport solve per action pair
-  per iteration) and is kept as the semantic oracle;
-* the *fast* solver (default) evaluates the same map through
-  :class:`~repro.core.emd.PairwiseEMD` -- precompiled support index
-  arrays, a precomputed reward-distance matrix, vectorised Hausdorff
-  refreshes grouped by neighbourhood shape -- and converges to the
-  same fixed point (the golden-regression tests pin both to 1e-8).
+The solver evaluates the map through
+:class:`~repro.core.emd.PairwiseEMD` -- precompiled support index
+arrays, a precomputed reward-distance matrix, vectorised Hausdorff
+refreshes grouped by neighbourhood shape.  The direct transcription of
+Algorithm 1 (dense Python double loops, one SSP transport solve per
+action pair per iteration) lives in the test suite as the semantic
+oracle; the golden-regression tests pin the two to 1e-8.
 """
 
 from __future__ import annotations
@@ -45,9 +42,8 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from .emd import EMDStats, PairwiseEMD, emd_dicts
+from .emd import EMDStats, PairwiseEMD
 from .graph import ActionNode, MDPGraph
-from .hausdorff import hausdorff
 
 __all__ = ["SimilarityResult", "SolverStats", "StructuralSimilarity"]
 
@@ -58,7 +54,7 @@ State = Hashable
 class SolverStats:
     """Observability record of one :meth:`StructuralSimilarity.solve`."""
 
-    #: Which path ran: "fast" or "reference".
+    #: Which solver ran: "fast", or "reference" for the test-suite oracle.
     mode: str
     iterations: int = 0
     #: Wall-clock total and per-phase split (seconds).
@@ -137,12 +133,8 @@ class StructuralSimilarity:
         all scheduling targets, 1 keeps them fully distinct.
     tol, max_iter:
         Convergence controls over the max-norm matrix change.
-    fast:
-        Run the vectorised solver (default).  ``fast=False`` selects
-        the reference transcription of Algorithm 1; both converge to
-        the same fixed point and tests cross-check them.
     cache_tol:
-        Sup-norm slack of the fast solver's EMD reuse cache: a pair's
+        Sup-norm slack of the solver's EMD reuse cache: a pair's
         transport solve is skipped while its ground matrix moved less
         than this since the last solve, perturbing the fixed point by
         at most ``cache_tol / (1 - c)``.  The default keeps that far
@@ -157,7 +149,6 @@ class StructuralSimilarity:
         d_absorbing: float = 1.0,
         tol: float = 1e-4,
         max_iter: int = 100,
-        fast: bool = True,
         cache_tol: float = 1e-10,
     ) -> None:
         if not 0.0 < c_s <= 1.0:
@@ -174,7 +165,6 @@ class StructuralSimilarity:
         self.d_absorbing = d_absorbing
         self.tol = tol
         self.max_iter = max_iter
-        self.fast = fast
         self.cache_tol = cache_tol
 
     # ------------------------------------------------------------------
@@ -182,10 +172,9 @@ class StructuralSimilarity:
         """Run the recursion to its fixed point."""
         ob = obs.session()
         if ob is None:
-            return self._solve_fast() if self.fast else self._solve_reference()
-        with ob.tracer.span("similarity.solve",
-                            mode="fast" if self.fast else "reference"):
-            result = self._solve_fast() if self.fast else self._solve_reference()
+            return self._solve_fast()
+        with ob.tracer.span("similarity.solve", mode="fast"):
+            result = self._solve_fast()
         # Mirror the per-solve SolverStats into the registry so the
         # telemetry blob is the one place these counts surface.
         stats = result.stats
@@ -218,88 +207,6 @@ class StructuralSimilarity:
         state_sim[both] = 1.0 - self.d_absorbing
         fixed |= both
         return state_sim, fixed
-
-    # ------------------------------------------------------------------
-    # Reference path: direct Algorithm 1 transcription
-    # ------------------------------------------------------------------
-    def _solve_reference(self) -> SimilarityResult:
-        g = self.graph
-        nv = g.n_state_nodes
-        na = g.n_action_nodes
-        started = time.perf_counter()
-        stats = SolverStats(mode="reference")
-
-        # Line 1: S <- I, A <- I, with the Eq. (3) base cases applied.
-        absorbing = np.array([g.is_absorbing(s) for s in g.state_nodes], dtype=bool)
-        state_sim, fixed = self._base_cases(nv, absorbing)
-        action_sim = np.eye(na)
-
-        # Pre-compute per-action-node data.
-        dists = [g.successor_dist(n) for n in g.action_nodes]
-        mus = np.array([g.mean_reward(n) for n in g.action_nodes])
-        neighbours = {s: g.out_actions(s) for s in g.state_nodes}
-
-        residual = np.inf
-        iterations = 0
-        for iterations in range(1, self.max_iter + 1):
-            # Lines 3-5: refresh action similarities from state distances.
-            phase_started = time.perf_counter()
-
-            def delta_s_lookup(u: State, v: State) -> float:
-                return 1.0 - state_sim[g.state_index(u), g.state_index(v)]
-
-            new_action = np.eye(na)
-            for i in range(na):
-                for j in range(i + 1, na):
-                    d_emd = emd_dicts(dists[i], dists[j], delta_s_lookup)
-                    d_rwd = abs(mus[i] - mus[j])
-                    sim = 1.0 - (1.0 - self.c_a) * d_rwd - self.c_a * d_emd
-                    sim = min(1.0, max(0.0, sim))
-                    new_action[i, j] = sim
-                    new_action[j, i] = sim
-            stats.action_refresh_s += time.perf_counter() - phase_started
-
-            # Lines 6-7: refresh state similarities from action distances.
-            phase_started = time.perf_counter()
-
-            def delta_a_lookup(a: ActionNode, b: ActionNode) -> float:
-                return 1.0 - new_action[g.action_index(a), g.action_index(b)]
-
-            new_state = state_sim.copy()
-            for i, u in enumerate(g.state_nodes):
-                for j in range(i + 1, nv):
-                    if fixed[i, j]:
-                        continue
-                    v = g.state_nodes[j]
-                    d_h = hausdorff(neighbours[u], neighbours[v], delta_a_lookup)
-                    sim = self.c_s * (1.0 - d_h)
-                    sim = min(1.0, max(0.0, sim))
-                    new_state[i, j] = sim
-                    new_state[j, i] = sim
-            stats.state_refresh_s += time.perf_counter() - phase_started
-
-            residual = max(
-                float(np.max(np.abs(new_state - state_sim))) if nv else 0.0,
-                float(np.max(np.abs(new_action - action_sim))) if na else 0.0,
-            )
-            stats.residuals.append(residual)
-            state_sim = new_state
-            action_sim = new_action
-            if residual < self.tol:
-                break
-
-        elapsed = time.perf_counter() - started
-        stats.iterations = iterations
-        stats.total_s = elapsed
-        return SimilarityResult(
-            graph=g,
-            state_sim=state_sim,
-            action_sim=action_sim,
-            iterations=iterations,
-            residual=float(residual),
-            elapsed_s=elapsed,
-            stats=stats,
-        )
 
     # ------------------------------------------------------------------
     # Fast path: vectorised refreshes + memoised EMD engine

@@ -17,8 +17,7 @@ package supplies the building blocks:
   torn-tail detection and truncation recovery;
 * :mod:`~repro.durability.budget` -- wall-clock/step
   :class:`RunBudget` enforcement (checkpoint-then-exit instead of a
-  timeout kill) and the :class:`HeartbeatWatchdog` that checkpoints
-  stalled cells;
+  timeout kill);
 * :mod:`~repro.durability.deadline` -- cooperative per-thread
   deadlines, the portable fallback for ``SIGALRM`` cell timeouts;
 * :mod:`~repro.durability.lock` -- the advisory :class:`FileLock`
@@ -29,17 +28,10 @@ Nothing in here imports the simulator: the dependency points from
 never back.
 """
 
-from .budget import (
-    BudgetExceededError,
-    Heartbeat,
-    HeartbeatWatchdog,
-    RunBudget,
-    retire_on_stall,
-)
+from .budget import BudgetExceededError, RunBudget
 from .deadline import (
     DeadlineExceededError,
     clear_deadline,
-    expire_deadline,
     poll_deadline,
     set_deadline,
     thread_deadline,
@@ -63,13 +55,9 @@ from .state import (
 
 __all__ = [
     "BudgetExceededError",
-    "Heartbeat",
-    "HeartbeatWatchdog",
     "RunBudget",
-    "retire_on_stall",
     "DeadlineExceededError",
     "clear_deadline",
-    "expire_deadline",
     "poll_deadline",
     "set_deadline",
     "thread_deadline",

@@ -10,8 +10,10 @@ a cell stuck inside a single C call will not be interrupted — but for
 the simulator's own loops (which step many times per second) it turns
 "no timeout at all" into an honest, clean, checkpoint-friendly exit.
 
-A watchdog may also *force* another thread's deadline to expire with
-:func:`expire_deadline`, which is how stalled cells are retired.
+The two mechanisms do not overlap: a hang before the first
+:func:`poll_deadline` (a slow ``build_pack``, a blocking C call) is
+cut only by ``SIGALRM``, and only the deadline works off the main
+thread.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple, Type
+from typing import Dict, Iterator, Tuple, Type
 
 __all__ = [
     "DeadlineExceededError",
     "set_deadline",
     "clear_deadline",
     "poll_deadline",
-    "expire_deadline",
     "thread_deadline",
 ]
 
@@ -41,34 +42,23 @@ _LOCK = threading.Lock()
 
 
 def set_deadline(timeout_s: float, message: str = "",
-                 exc_type: Type[BaseException] = DeadlineExceededError,
-                 thread_ident: Optional[int] = None) -> None:
-    """Arm a deadline ``timeout_s`` seconds from now for a thread.
+                 exc_type: Type[BaseException] = DeadlineExceededError) -> None:
+    """Arm a deadline ``timeout_s`` seconds from now for this thread.
 
     ``exc_type`` customises what :func:`poll_deadline` raises (the
     sweep engine passes its ``CellTimeoutError`` subclass).
     """
-    ident = thread_ident if thread_ident is not None else threading.get_ident()
+    ident = threading.get_ident()
     deadline = time.monotonic() + timeout_s
     msg = message or f"cooperative deadline of {timeout_s} s exceeded"
     with _LOCK:
         _DEADLINES[ident] = (deadline, msg, exc_type)
 
 
-def clear_deadline(thread_ident: Optional[int] = None) -> None:
-    """Disarm a thread's deadline (no-op when none is set)."""
-    ident = thread_ident if thread_ident is not None else threading.get_ident()
+def clear_deadline() -> None:
+    """Disarm this thread's deadline (no-op when none is set)."""
     with _LOCK:
-        _DEADLINES.pop(ident, None)
-
-
-def expire_deadline(thread_ident: int, message: str = "") -> None:
-    """Force a thread's deadline to 'already passed' (watchdog path)."""
-    with _LOCK:
-        current = _DEADLINES.get(thread_ident)
-        msg = message or (current[1] if current else "deadline force-expired")
-        exc_type = current[2] if current else DeadlineExceededError
-        _DEADLINES[thread_ident] = (float("-inf"), msg, exc_type)
+        _DEADLINES.pop(threading.get_ident(), None)
 
 
 def poll_deadline() -> None:

@@ -219,7 +219,7 @@ class Checkpointer:
 
     def save(self, checkpoint: SimCheckpoint) -> None:
         """Record (and, when configured, persist) a checkpoint."""
-        # Registry-only instrumentation: this can run on the watchdog
+        # Registry-only instrumentation: this can run off the main
         # thread, and the tracer's span stack is main-thread-only.
         ob = obs.session()
         started = time.monotonic() if ob is not None else 0.0
@@ -234,8 +234,3 @@ class Checkpointer:
             reg.counter("durability.checkpoint_saves").inc()
             reg.histogram("durability.checkpoint_save_s").observe(
                 time.monotonic() - started)
-
-    def flush(self) -> None:
-        """Persist :attr:`latest` now (watchdog / stall path)."""
-        if self.latest is not None and self.path is not None:
-            self.latest.save(self.path)

@@ -43,7 +43,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 from ..obs.export import registry_snapshot
 from ..obs.registry import MetricsRegistry
 from ..sim.distributed import SECRET_ENV, protocol_secret
-from ..sim.retry import RetryPolicy
 from .jobs import DONE, FAILED, JobStore
 from .schemas import ApiError, parse_spec
 
@@ -286,7 +285,6 @@ class CapmanService:
         job_runners: int = 2,
         max_body_bytes: int = DEFAULT_MAX_BODY,
         events_poll_s: float = 0.05,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.root = Path(root)
         self.metrics = ServiceMetrics()
@@ -295,7 +293,7 @@ class CapmanService:
         self.events_poll_s = events_poll_s
         self.store = JobStore(self.root, cell_workers=cell_workers,
                               job_runners=job_runners,
-                              metrics=self.metrics, retry=retry)
+                              metrics=self.metrics)
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.service = self  # type: ignore[attr-defined]

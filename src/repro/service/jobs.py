@@ -43,7 +43,6 @@ from typing import Any, Dict, List, Optional, Union
 from ..durability.journal import RunJournal, decode_blob, encode_blob
 from ..obs.tracer import Tracer
 from ..sim.executors import SweepExecutor
-from ..sim.retry import RetryPolicy
 # ``cell_key`` is imported for the per-layer tracer in benchmarks/perf,
 # which wraps it here; identities hash through the batched ``cell_keys``.
 from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,  # noqa: F401
@@ -105,14 +104,12 @@ class JobStore:
         cell_workers: int = 1,
         job_runners: int = 2,
         metrics: Any = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.cell_workers = max(1, cell_workers)
         self.cache = SweepCache(self.root / "cache")
         self.metrics = metrics
-        self.retry = retry
         self._salt = code_salt()
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
@@ -270,15 +267,11 @@ class JobStore:
                       executor: Optional[SweepExecutor]) -> ScenarioRunner:
         job_dir = self.root / "jobs" / job.job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        kwargs: Dict[str, Any] = {}
-        if self.retry is not None:
-            kwargs["retry"] = self.retry
         return ScenarioRunner(
             workers=self.cell_workers,
             cache=self.cache,
             journal=job_dir / "run.journal",
             executor=executor,
-            **kwargs,
         )
 
     def _runner_loop(self) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -24,13 +23,7 @@ from ..battery.switch import BatterySelection
 from ..device.phone import DemandSlice, Phone, StepOutcome
 from ..device.profiles import NEXUS, PhoneProfile
 from ..device.syscalls import Syscall
-from ..durability.budget import (
-    BudgetExceededError,
-    Heartbeat,
-    HeartbeatWatchdog,
-    RunBudget,
-    retire_on_stall,
-)
+from ..durability.budget import BudgetExceededError, RunBudget
 from ..durability.deadline import poll_deadline
 from ..durability.snapshot import Checkpointer, SimCheckpoint
 from ..durability.state import StateMismatchError, pack_state, unpack_state
@@ -217,7 +210,6 @@ def run_discharge_cycle(
     checkpointer: Optional[Checkpointer] = None,
     resume_from: Optional[SimCheckpoint] = None,
     budget: Optional[RunBudget] = None,
-    stall_timeout_s: Optional[float] = None,
 ) -> DischargeResult:
     """Drive one full discharge cycle of ``policy`` over ``trace``.
 
@@ -240,9 +232,6 @@ def run_discharge_cycle(
     * ``budget`` is polled at the top of each step (a consistent state
       point); blowing it raises :class:`BudgetExceededError` carrying
       a final clean checkpoint instead of dying to a timeout kill.
-    * ``stall_timeout_s`` arms a heartbeat watchdog that flushes the
-      latest checkpoint and force-expires this thread's cooperative
-      deadline when the loop stops beating.
     """
     wall_start = time.perf_counter()
     # Observability: hoist the session check to one local boolean so the
@@ -277,7 +266,7 @@ def run_discharge_cycle(
     brownouts = 0
 
     durable = (checkpointer is not None or resume_from is not None
-               or budget is not None or stall_timeout_s is not None)
+               or budget is not None)
     fingerprint = ""
     if durable:
         fingerprint = _cycle_fingerprint(
@@ -362,15 +351,6 @@ def run_discharge_cycle(
             if next(steps, None) is None:
                 break
 
-    heartbeat: Optional[Heartbeat] = None
-    watchdog: Optional[HeartbeatWatchdog] = None
-    if stall_timeout_s is not None:
-        heartbeat = Heartbeat()
-        watchdog = HeartbeatWatchdog(
-            heartbeat, stall_timeout_s,
-            retire_on_stall(checkpointer, threading.get_ident(),
-                            label=f"cycle[{policy.name}]")).start()
-
     telemetry: Optional[obs.RunTelemetry] = None
     try:
         for step in steps:
@@ -380,8 +360,6 @@ def run_discharge_cycle(
             # state is consistent (== the end of the previous step).
             poll_deadline()
             if durable:
-                if heartbeat is not None:
-                    heartbeat.beat()
                 if budget is not None:
                     reason = budget.exceeded(step_index)
                     if reason is not None:
@@ -453,8 +431,6 @@ def run_discharge_cycle(
                 if brownouts >= brownout_limit:
                     break
     finally:
-        if watchdog is not None:
-            watchdog.stop()
         # Harvest telemetry in the finally so a budget/deadline abort
         # still closes the scope (keeping the session stack sound) and
         # the success path below sees ``telemetry`` already bound.

@@ -736,7 +736,6 @@ class SweepCoordinator:
             "cell_timeout_s": ctx.cell_timeout_s,
             "ckpt_path": ctx.ckpts.get(index),
             "ckpt_every": ctx.checkpoint_every_steps,
-            "stall_timeout_s": ctx.stall_timeout_s,
             "obs_enabled": ctx.obs_enabled,
         }
 
@@ -1130,7 +1129,6 @@ class SweepWorker:
                 grant.get("cell_timeout_s"),
                 grant.get("ckpt_path"),
                 int(grant.get("ckpt_every") or 0),
-                grant.get("stall_timeout_s"),
                 obs_enabled=bool(grant.get("obs_enabled")),
             )
         finally:
@@ -1283,8 +1281,7 @@ class DistributedExecutor(SweepExecutor):
                         item = timed_cell(
                             cell, ctx.cell_timeout_s,
                             ctx.ckpts.get(cell.index),
-                            ctx.checkpoint_every_steps,
-                            ctx.stall_timeout_s)
+                            ctx.checkpoint_every_steps)
                         coordinator.commit_local(lease_id, item)
                         continue
                 time.sleep(self.poll_s)

@@ -111,8 +111,7 @@ CellItem = Tuple[int, CellOutcome, float, int]
 # ----------------------------------------------------------------------
 def _run_cell_once(cell: "ScenarioCell",
                    checkpointer: Optional[Checkpointer],
-                   resume_from: Optional[SimCheckpoint],
-                   stall_timeout_s: Optional[float]) -> CellResult:
+                   resume_from: Optional[SimCheckpoint]) -> CellResult:
     """One attempt at a cell, optionally durable.
 
     The policy template and extra run arguments are cloned via a
@@ -135,8 +134,6 @@ def _run_cell_once(cell: "ScenarioCell",
             **durable, **extra,
         )
     else:
-        if stall_timeout_s is not None:
-            durable["stall_timeout_s"] = stall_timeout_s
         result = run_discharge_cycle(
             policy, cell.trace, profile=cell.profile,
             control_dt=cell.control_dt, max_duration_s=cell.max_duration_s,
@@ -148,8 +145,7 @@ def _run_cell_once(cell: "ScenarioCell",
 
 def _execute_cell(cell: "ScenarioCell",
                   ckpt_path: Optional[str] = None,
-                  ckpt_every: int = 0,
-                  stall_timeout_s: Optional[float] = None) -> CellResult:
+                  ckpt_every: int = 0) -> CellResult:
     """Run one scenario cell (worker entry point; must be picklable).
 
     When ``ckpt_path`` is set (journalled sweeps), the cell writes
@@ -160,12 +156,11 @@ def _execute_cell(cell: "ScenarioCell",
     cell recomputes from scratch -- stale state is never trusted.
     """
     if ckpt_path is None:
-        return _run_cell_once(cell, None, None, stall_timeout_s)
+        return _run_cell_once(cell, None, None)
     checkpointer = Checkpointer(ckpt_path, every_steps=ckpt_every)
     resume_from = SimCheckpoint.try_load(ckpt_path)
     try:
-        return _run_cell_once(cell, checkpointer, resume_from,
-                              stall_timeout_s)
+        return _run_cell_once(cell, checkpointer, resume_from)
     except StateMismatchError:
         if resume_from is None:
             raise
@@ -173,7 +168,7 @@ def _execute_cell(cell: "ScenarioCell",
             os.unlink(ckpt_path)
         except OSError:
             pass
-        return _run_cell_once(cell, checkpointer, None, stall_timeout_s)
+        return _run_cell_once(cell, checkpointer, None)
 
 
 def choose_timeout_mechanism(timeout_s: Optional[float]) -> str:
@@ -199,8 +194,7 @@ def choose_timeout_mechanism(timeout_s: Optional[float]) -> str:
 def _execute_with_timeout(cell: "ScenarioCell",
                           timeout_s: Optional[float],
                           ckpt_path: Optional[str] = None,
-                          ckpt_every: int = 0,
-                          stall_timeout_s: Optional[float] = None) -> CellResult:
+                          ckpt_every: int = 0) -> CellResult:
     """Run one cell under a wall-clock budget.
 
     SIGALRM delivers a hard timeout on the main thread of a POSIX
@@ -214,7 +208,7 @@ def _execute_with_timeout(cell: "ScenarioCell",
     """
     mechanism = choose_timeout_mechanism(timeout_s)
     if mechanism == "none":
-        return _execute_cell(cell, ckpt_path, ckpt_every, stall_timeout_s)
+        return _execute_cell(cell, ckpt_path, ckpt_every)
     message = f"cell exceeded the per-cell timeout of {timeout_s} s"
     if mechanism == "cooperative":
         warnings.warn(
@@ -223,8 +217,7 @@ def _execute_with_timeout(cell: "ScenarioCell",
             "deadline polled by the simulation loop (best-effort)",
             RuntimeWarning, stacklevel=2)
         with thread_deadline(timeout_s, message, exc_type=CellTimeoutError):
-            return _execute_cell(cell, ckpt_path, ckpt_every,
-                                 stall_timeout_s)
+            return _execute_cell(cell, ckpt_path, ckpt_every)
     import signal
 
     def _on_alarm(signum, frame):
@@ -233,7 +226,7 @@ def _execute_with_timeout(cell: "ScenarioCell",
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return _execute_cell(cell, ckpt_path, ckpt_every, stall_timeout_s)
+        return _execute_cell(cell, ckpt_path, ckpt_every)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -242,7 +235,6 @@ def _execute_with_timeout(cell: "ScenarioCell",
 def timed_cell(
     cell: "ScenarioCell", timeout_s: Optional[float] = None,
     ckpt_path: Optional[str] = None, ckpt_every: int = 0,
-    stall_timeout_s: Optional[float] = None,
     obs_enabled: bool = False,
 ) -> CellItem:
     """(index, outcome, compute seconds, steps) for one cell.
@@ -272,7 +264,7 @@ def timed_cell(
     try:
         try:
             result: CellOutcome = _execute_with_timeout(
-                cell, timeout_s, ckpt_path, ckpt_every, stall_timeout_s)
+                cell, timeout_s, ckpt_path, ckpt_every)
         except Exception as exc:
             elapsed = time.perf_counter() - started
             failure = CellFailure(
@@ -312,8 +304,6 @@ class ExecutionContext:
     ckpts: Dict[int, str] = field(default_factory=dict)
     #: In-cell sidecar checkpoint cadence in control steps.
     checkpoint_every_steps: int = 0
-    #: Heartbeat-stall watchdog for journalled discharge cells.
-    stall_timeout_s: Optional[float] = None
     #: Retry/backoff schedule for infrastructure failures.
     retry: RetryPolicy = DEFAULT_RETRY
     #: Pool width hint (the runner's ``workers``).
@@ -423,7 +413,7 @@ class SweepExecutor:
         ctx.started(cell.index)
         item = timed_cell(cell, ctx.cell_timeout_s,
                           ctx.ckpts.get(cell.index),
-                          ctx.checkpoint_every_steps, ctx.stall_timeout_s)
+                          ctx.checkpoint_every_steps)
         self._done += 1
         ctx.finalise(item[0], item[1])
         return item
@@ -521,8 +511,7 @@ class LocalProcessExecutor(SweepExecutor):
                     futures = [
                         (pool.submit(timed_cell, cell, ctx.cell_timeout_s,
                                      ctx.ckpts.get(cell.index),
-                                     ctx.checkpoint_every_steps,
-                                     ctx.stall_timeout_s, obs_on),
+                                     ctx.checkpoint_every_steps, obs_on),
                          cell)
                         for cell in group
                     ]

@@ -19,10 +19,9 @@ the same sweep produce the same waits (reproducible schedules, stable
 tests), while different cells (different ``token``\\ s) still spread
 their retries out in time instead of thundering in lockstep.
 
-The default policy is byte-equivalent to the sweep engine's historic
-behaviour — one immediate retry, no waiting — so constructing a
-:class:`~repro.sim.sweep.ScenarioRunner` without arguments changes
-nothing.
+The default policy, :data:`DEFAULT_RETRY`, allows one immediate retry
+with no waiting; a :class:`~repro.sim.sweep.ScenarioRunner` built
+without arguments uses it.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ class RetryPolicy:
     max_attempts:
         Total execution attempts allowed per unit (1 = never retry).
     backoff_base_s:
-        Wait before the first retry; 0 retries immediately (the
-        historic sweep behaviour).
+        Wait before the first retry; 0 retries immediately.
     backoff_factor:
         Multiplier applied per further retry.
     backoff_max_s:
@@ -76,18 +74,6 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must lie in [0, 1]")
-
-    @classmethod
-    def from_retries(cls, retries: int) -> "RetryPolicy":
-        """The policy equivalent to the legacy ``retries: int`` knob."""
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        return cls(max_attempts=retries + 1)
-
-    @property
-    def retries(self) -> int:
-        """Extra attempts beyond the first (the legacy knob's view)."""
-        return self.max_attempts - 1
 
     def allows(self, attempts_made: int) -> bool:
         """Whether a unit that has already run ``attempts_made`` times

@@ -61,8 +61,8 @@ from .daily import MultiDayResult
 from .discharge import DischargeResult, SchedulingPolicy
 from .executors import (CellFailure, CellTimeoutError, ExecutionContext,
                         LocalProcessExecutor, SweepExecutor,
-                        choose_timeout_mechanism, timed_cell)
-from .retry import RetryPolicy
+                        choose_timeout_mechanism)
+from .retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = [
     "ScenarioCell",
@@ -82,9 +82,6 @@ CellResult = Union[DischargeResult, MultiDayResult]
 
 #: What a result slot can hold once failures are contained per cell.
 CellOutcome = Union[DischargeResult, MultiDayResult, CellFailure]
-
-#: Backward-compatible alias (the implementation moved to executors).
-_timed_cell = timed_cell
 
 _log = logging.getLogger(__name__)
 
@@ -580,11 +577,11 @@ def _run_fleet_batch(
     """Run eligible cells as one vectorised batch.
 
     Returns the same ``(index, outcome, seconds, steps)`` tuples as
-    :func:`_timed_cell`; the batch wall time is amortised evenly over
-    its cells so :class:`SimStats` totals stay meaningful.  Returns
-    None if the batch raised: batching is an optimisation, never a new
-    failure mode, so the caller reruns the cells on the scalar engine
-    and counts the fallback.
+    :func:`~repro.sim.executors.timed_cell`; the batch wall time is
+    amortised evenly over its cells so :class:`SimStats` totals stay
+    meaningful.  Returns None if the batch raised: batching is an
+    optimisation, never a new failure mode, so the caller reruns the
+    cells on the scalar engine and counts the fallback.
 
     The batch honours the ``CAPMAN_FLEET_SHARDS`` env var: with a
     count above 1 the fleet row-shards across worker processes
@@ -627,32 +624,12 @@ class ScenarioRunner:
     salt:
         Cache-key salt override; defaults to :func:`code_salt` so code
         edits invalidate old entries.
-    retries:
-        Extra execution attempts for a cell whose *worker died*
-        (``BrokenProcessPool``); retried cells run in isolated
-        single-cell pools so a crash-looping cell cannot take healthy
-        cells down with it.  Exceptions raised *inside* a cell are
-        deterministic simulator failures and are reported immediately
-        without retry.  Legacy shorthand for
-        ``retry=RetryPolicy.from_retries(retries)``.
-    retry:
-        A full :class:`~repro.sim.retry.RetryPolicy` (max attempts,
-        exponential backoff, deterministic seeded jitter) governing
-        infrastructure retries; overrides ``retries`` when given.
-        The default is byte-equivalent to the historic behaviour
-        (one immediate retry, no waiting).
     cell_timeout_s:
-        Optional per-cell wall-clock budget; a cell over budget is
-        reported as a :class:`CellFailure` (``CellTimeoutError``).
-        The mechanism actually used (hard SIGALRM on POSIX main
-        threads, cooperative polled deadline elsewhere) is surfaced
-        as ``SimStats.timeout_mechanism``.
-    executor:
-        A :class:`~repro.sim.executors.SweepExecutor` backend, or
-        ``None`` for the default
-        :class:`~repro.sim.executors.LocalProcessExecutor` (serial /
-        process-pool, governed by ``workers``).  The distributed TCP
-        backend lives in :mod:`repro.sim.distributed`.
+        Optional positive per-cell wall-clock budget; a cell over
+        budget is reported as a :class:`CellFailure`
+        (``CellTimeoutError``).  The mechanism actually used (hard
+        SIGALRM on POSIX main threads, cooperative polled deadline
+        elsewhere) is surfaced as ``SimStats.timeout_mechanism``.
     journal:
         Optional path of a write-ahead run journal.  :meth:`run` then
         records every cell start and every committed result durably
@@ -665,19 +642,29 @@ class ScenarioRunner:
         cells (0 disables in-cell checkpoints; commit-level durability
         still applies).  For "daily" sweeps checkpoints land at day
         boundaries regardless of cadence.
-    stall_timeout_s:
-        Optional heartbeat-stall watchdog for journalled discharge
-        cells: a cell whose control loop stops beating for this long
-        has its latest sidecar checkpoint flushed and is retired as a
-        contained timeout failure.
+    retry:
+        The :class:`~repro.sim.retry.RetryPolicy` (max attempts,
+        exponential backoff, deterministic seeded jitter) governing
+        infrastructure retries: a cell whose *worker died*
+        (``BrokenProcessPool``) reruns in an isolated single-cell pool
+        so a crash-looping cell cannot take healthy cells down with
+        it.  Exceptions raised *inside* a cell are deterministic
+        simulator failures and are reported immediately without retry.
+        The default allows one immediate retry, with no waiting.
+    executor:
+        A :class:`~repro.sim.executors.SweepExecutor` backend, or
+        ``None`` for the default
+        :class:`~repro.sim.executors.LocalProcessExecutor` (serial /
+        process-pool, governed by ``workers``).  The distributed TCP
+        backend lives in :mod:`repro.sim.distributed`.
 
     Engine choice is automatic.  When the runner executes in-process
     (no ``executor``, one worker), no per-cell bound is set
-    (``cell_timeout_s`` and ``stall_timeout_s`` are None), journalled
-    cells write no sidecar checkpoints (``checkpoint_every_steps`` is
-    0) and obs is off, the pending fleet-supported discharge cells run
-    as one vectorised :class:`repro.fleet.FleetSimulator` batch --
-    provided there are at least :data:`FLEET_MIN_ROWS` of them.  Their
+    (``cell_timeout_s`` is None), journalled cells write no sidecar
+    checkpoints (``checkpoint_every_steps`` is 0) and obs is off, the
+    pending fleet-supported discharge cells run as one vectorised
+    :class:`repro.fleet.FleetSimulator` batch -- provided there are at
+    least :data:`FLEET_MIN_ROWS` of them.  Their
     results are bit-for-bit the scalar ones; every other cell runs on
     the scalar engine, which stays the oracle.  ``SimStats.cells_fleet``
     and ``SimStats.fleet_fallbacks`` count the choice.  Setting the
@@ -690,12 +677,10 @@ class ScenarioRunner:
         workers: Optional[int] = None,
         cache: Union[SweepCache, str, Path, None] = None,
         salt: Optional[str] = None,
-        retries: int = 1,
         cell_timeout_s: Optional[float] = None,
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
-        stall_timeout_s: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
+        retry: RetryPolicy = DEFAULT_RETRY,
         executor: Optional[SweepExecutor] = None,
     ) -> None:
         if workers == 0:
@@ -705,18 +690,15 @@ class ScenarioRunner:
             cache = SweepCache(cache)
         self.cache = cache
         self._salt = salt
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        self.retry = (retry if retry is not None
-                      else RetryPolicy.from_retries(retries))
-        self.retries = self.retry.retries
+        self.retry = retry
         self.cell_timeout_s = cell_timeout_s
         self.executor = executor
         self.journal = Path(journal) if journal is not None else None
+        if cell_timeout_s is not None and cell_timeout_s <= 0:
+            raise ValueError("cell_timeout_s must be positive")
         if checkpoint_every_steps < 0:
             raise ValueError("checkpoint_every_steps must be non-negative")
         self.checkpoint_every_steps = checkpoint_every_steps
-        self.stall_timeout_s = stall_timeout_s
         #: Guards the per-cell state map behind :meth:`progress`.
         self._progress_lock = threading.Lock()
         self._cell_states: Dict[int, str] = {}
@@ -853,7 +835,6 @@ class ScenarioRunner:
         """
         if (self.executor is not None or self.workers != 1
                 or self.cell_timeout_s is not None
-                or self.stall_timeout_s is not None
                 or (journal is not None and self.checkpoint_every_steps)
                 or observing or len(pending) < FLEET_MIN_ROWS):
             return []
@@ -1007,7 +988,6 @@ class ScenarioRunner:
                     cell_timeout_s=self.cell_timeout_s,
                     ckpts=ckpts,
                     checkpoint_every_steps=self.checkpoint_every_steps,
-                    stall_timeout_s=self.stall_timeout_s,
                     retry=self.retry,
                     workers=self.workers,
                     obs_enabled=observing,

@@ -20,8 +20,6 @@ class TestPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy.from_retries(-1)
 
     def test_allows_caps_total_attempts(self):
         policy = RetryPolicy(max_attempts=3)
@@ -29,15 +27,11 @@ class TestPolicy:
         assert policy.allows(2)
         assert not policy.allows(3)
 
-    def test_legacy_retries_round_trip(self):
-        policy = RetryPolicy.from_retries(4)
-        assert policy.max_attempts == 5
-        assert policy.retries == 4
-
     def test_default_is_historic_behaviour(self):
-        # One immediate retry, zero wait: exactly the old retries=1.
+        # One immediate retry, zero wait, and the runner's default.
         assert DEFAULT_RETRY.max_attempts == 2
         assert DEFAULT_RETRY.wait_s(1, "anything") == 0.0
+        assert ScenarioRunner().retry == DEFAULT_RETRY == RetryPolicy(max_attempts=2)
 
     def test_wait_grows_exponentially_and_caps(self):
         policy = RetryPolicy(max_attempts=10, backoff_base_s=1.0,
@@ -218,16 +212,10 @@ class TestExhaustionPaths:
 
 
 class TestRunnerWiring:
-    def test_runner_default_matches_legacy_retries(self):
-        runner = ScenarioRunner(retries=3)
-        assert runner.retry == RetryPolicy.from_retries(3)
-        assert runner.retries == 3
-
     def test_explicit_policy_wins(self):
         policy = RetryPolicy(max_attempts=7, backoff_base_s=0.5)
-        runner = ScenarioRunner(retries=1, retry=policy)
+        runner = ScenarioRunner(retry=policy)
         assert runner.retry is policy
-        assert runner.retries == 6
 
     def test_count_retry_updates_stats_and_obs(self):
         stats = SimStats()

@@ -2,10 +2,10 @@
 
 A small hand-built MDP (two structurally identical live states, a
 reward-skewed heavy state, two absorbing sinks) is solved once with the
-reference solver at tight tolerance and its converged matrices are
-frozen on disk.  Both solvers must keep reproducing those matrices to
-1e-8, and the ``most_similar_state`` tie-breaking (lowest state index
-wins) stays pinned.
+reference solver (:mod:`similarity_oracle`) at tight tolerance and its
+converged matrices are frozen on disk.  Both solvers must keep
+reproducing those matrices to 1e-8, and the ``most_similar_state``
+tie-breaking (lowest state index wins) stays pinned.
 
 Regenerate the fixture after a *deliberate* semantic change with::
 
@@ -16,6 +16,8 @@ import pathlib
 
 import numpy as np
 import pytest
+
+from similarity_oracle import solve_reference
 
 from repro.core.graph import MDPGraph
 from repro.core.mdp import MDP
@@ -66,11 +68,16 @@ def canonical_mdp():
     )
 
 
-def _solve(fast):
-    solver = StructuralSimilarity(
-        MDPGraph(canonical_mdp()), c_s=C_S, c_a=C_A, tol=TOL, max_iter=500, fast=fast
-    )
-    return solver.solve()
+def solve_fast(graph, **kwargs):
+    return StructuralSimilarity(graph, **kwargs).solve()
+
+
+BOTH = pytest.mark.parametrize("solve", [solve_reference, solve_fast],
+                               ids=["reference", "fast"])
+
+
+def _solve(solve):
+    return solve(MDPGraph(canonical_mdp()), c_s=C_S, c_a=C_A, tol=TOL, max_iter=500)
 
 
 class TestGoldenMatrices:
@@ -81,15 +88,15 @@ class TestGoldenMatrices:
         with np.load(GOLDEN) as data:
             return {k: data[k] for k in data.files}
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
-    def test_solver_reproduces_golden(self, golden, fast):
-        res = _solve(fast)
+    @BOTH
+    def test_solver_reproduces_golden(self, golden, solve):
+        res = _solve(solve)
         np.testing.assert_allclose(res.state_sim, golden["state_sim"], atol=1e-8)
         np.testing.assert_allclose(res.action_sim, golden["action_sim"], atol=1e-8)
 
     def test_solvers_agree_pairwise(self):
-        ref = _solve(False)
-        fast = _solve(True)
+        ref = _solve(solve_reference)
+        fast = _solve(solve_fast)
         np.testing.assert_allclose(fast.state_sim, ref.state_sim, atol=1e-8)
         np.testing.assert_allclose(fast.action_sim, ref.action_sim, atol=1e-8)
 
@@ -103,9 +110,9 @@ class TestGoldenMatrices:
 class TestTieBreaking:
     """The first maximiser (lowest state index) wins ties, always."""
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
-    def test_exact_tie_resolves_to_lowest_index(self, fast):
-        res = _solve(fast)
+    @BOTH
+    def test_exact_tie_resolves_to_lowest_index(self, solve):
+        res = _solve(solve)
         # "idle" and "twin" are exact copies, so "light" is equally
         # similar to both -- and they are its row maximum; argmax must
         # keep the first (lower state index).
@@ -115,8 +122,8 @@ class TestTieBreaking:
         assert best == "idle"
 
     def test_both_solvers_pick_same_surrogates(self):
-        ref = _solve(False)
-        fast = _solve(True)
+        ref = _solve(solve_reference)
+        fast = _solve(solve_fast)
         for state in canonical_mdp().states:
             ref_best, ref_sim = ref.most_similar_state(state)
             fast_best, fast_sim = fast.most_similar_state(state)
@@ -126,7 +133,7 @@ class TestTieBreaking:
 
 def _regenerate():  # pragma: no cover - manual fixture refresh
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    res = _solve(fast=False)
+    res = _solve(solve_reference)
     np.savez(
         GOLDEN,
         state_sim=res.state_sim,

@@ -281,7 +281,7 @@ class TestFailureContainment:
 
     def test_killed_worker_contained_and_healthy_cells_survive(self, trace):
         spec = self._mixed_spec(trace, WorkerKillerPolicy(capacity_mah=40.0))
-        out = ScenarioRunner(workers=2, retries=1).run(spec)
+        out = ScenarioRunner(workers=2).run(spec)
         assert out.stats.cells_failed == 1
         [(cell, failure)] = out.failures
         assert cell.policy_key == "Bad"
@@ -300,7 +300,10 @@ class TestFailureContainment:
 
     def test_cell_timeout_reported(self, trace):
         spec = self._mixed_spec(trace, SlowPolicy(capacity_mah=40.0))
+        started = time.monotonic()
         out = ScenarioRunner(workers=1, cell_timeout_s=1.0).run(spec)
+        # The hang sits before any poll_deadline(), so only SIGALRM can cut it.
+        assert time.monotonic() - started < 10.0
         [(cell, failure)] = out.failures
         assert cell.policy_key == "Bad"
         assert failure.error_type == "CellTimeoutError"
@@ -316,9 +319,10 @@ class TestFailureContainment:
         assert second.stats.cache_misses == 1
         assert second.stats.cells_failed == 1
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioRunner(retries=-1)
+    def test_non_positive_cell_timeout_rejected(self):
+        for timeout_s in (0, -1):
+            with pytest.raises(ValueError, match="cell_timeout_s"):
+                ScenarioRunner(cell_timeout_s=timeout_s)
 
     def test_failure_str_and_outcome_split(self, trace):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
