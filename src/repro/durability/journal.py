@@ -6,6 +6,10 @@ monotonically increasing sequence number and a checksum over its own
 content, and every append is flushed *and* fsync'd before the caller
 proceeds -- that is what makes the journal a write-ahead log: a cell
 is only ever considered committed once its commit record is durable.
+Records that land at the same moment (a batch of cell starts, a fleet
+batch's commits) go through :meth:`RunJournal.append_many`: one flush
+and one fsync for the group, each record still with its own sequence
+number and checksum.
 
 A SIGKILL can still land mid-``write``; the victim is the *tail* line,
 which is then incomplete or fails its checksum.  :meth:`RunJournal.replay`
@@ -27,7 +31,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
 
@@ -92,25 +96,44 @@ class RunJournal:
         Thread-safe: concurrent appenders are serialised, each record
         is fully written and fsync'd before the next begins.
         """
+        return self.append_many([(rtype, data)])[0]
+
+    def append_many(self, records: Iterable[Tuple[str, Dict[str, Any]]]
+                    ) -> List[int]:
+        """Durably append ``(type, data)`` records as one group commit.
+
+        One lock hold, one flush and one fsync for the whole group;
+        returns the records' sequence numbers.  ``records`` may be a
+        generator: each record is encoded and handed to the buffered
+        file as it is drawn, so a group of large result blobs is never
+        held in memory at once.  Each line still carries its own
+        ``seq`` and ``crc``, so a kill mid-write tears only the tail of
+        the group and replay keeps every whole record before it,
+        exactly as for single appends.
+        """
         ob = obs.session()
         started = time.monotonic() if ob is not None else 0.0
         with self._lock:
             if self._fh is None:
                 raise JournalError("journal is closed")
-            seq = self._seq
-            record = {"seq": seq, "type": rtype, "data": data,
-                      "crc": _record_crc(seq, rtype, data)}
-            self._fh.write(json.dumps(record, sort_keys=True,
-                                      separators=(",", ":")) + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._seq += 1
-        if ob is not None:
+            first = self._seq
+            for rtype, data in records:
+                seq = self._seq
+                record = {"seq": seq, "type": rtype, "data": data,
+                          "crc": _record_crc(seq, rtype, data)}
+                self._fh.write(json.dumps(record, sort_keys=True,
+                                          separators=(",", ":")) + "\n")
+                self._seq = seq + 1
+            count = self._seq - first
+            if count:
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+        if ob is not None and count:
             reg = ob.registry
-            reg.counter("durability.journal_appends").inc()
+            reg.counter("durability.journal_appends").inc(count)
             reg.histogram("durability.journal_append_s").observe(
                 time.monotonic() - started)
-        return seq
+        return list(range(first, first + count))
 
     def close(self) -> None:
         with self._lock:

@@ -18,9 +18,7 @@ Registered vector drivers:
   per-segment utilisation table plus two comparisons.
 * :class:`VectorPracticeDriver` -- ``decide_battery`` always returns
   ``None``; the driver is a no-op (the choice column resets to
-  ``CHOICE_NONE`` each step).  Registration is about the *decision
-  rule*; :func:`~repro.fleet.spec.supports_policy` still rejects the
-  policy's single-battery pack.
+  ``CHOICE_NONE`` each step).
 * ``VectorCapmanDriver`` (:mod:`repro.fleet.capman`) -- compiled MDP
   action tables with epoch-batched learning and shared-trajectory
   dedupe.
@@ -142,10 +140,8 @@ class VectorPracticeDriver:
     """``PracticePolicy.decide_battery`` always returns ``None``.
 
     The shared choice column resets to ``CHOICE_NONE`` each step, so
-    declining to write *is* the decision.  (The policy's single-battery
-    pack still fails the fleet's pack check -- this driver only becomes
-    reachable if that ever widens -- but registering it keeps the
-    decision registry total over the paper's baseline policies.)
+    declining to write *is* the decision.  (The simulator masks
+    ``select`` off on single-battery rows anyway.)
     """
 
     def __init__(self, entries: Sequence[Entry], sim=None) -> None:

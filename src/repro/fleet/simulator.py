@@ -10,6 +10,13 @@ operation order, same branch structure expressed as masks -- so a
 batch of one is bit-for-bit identical to the scalar engine (the
 oracle; see DESIGN.md section 11 and ``tests/test_fleet_vs_scalar``).
 
+Single-battery rows (``Practice``) share the arrays: their cell sits
+in the BIG slot, a zero-charge phantom in the LITTLE slot, and the
+``single`` mask turns off what
+:meth:`~repro.battery.pack.SingleBatteryPack.draw` does not do --
+select, failover, supercap, rail arithmetic, big/LITTLE time -- and
+reads the SoC off the one cell.
+
 Two structural tricks keep that contract watertight:
 
 * **Phase split.**  Phase A (policy decision, battery select,
@@ -41,7 +48,7 @@ from ..sim.discharge import DischargeResult
 from ..sim.metrics import MetricsRecorder
 from .policies import (CHOICE_BIG, CHOICE_NONE, StepObservation,
                        make_decision_drivers)
-from .spec import NODE_NAMES, initial_state_from_phones
+from .spec import NODE_NAMES, initial_state_from_phones, slot_cells
 from .state import FleetState
 from . import capman as _capman  # noqa: F401  (registers VectorCapmanDriver)
 
@@ -103,6 +110,8 @@ class FleetSimulator:
         self.n = len(phones)
         self.state = initial_state_from_phones(phones)
         self._rows = np.arange(self.n)
+        self._single = params["single"]
+        self._dual = ~self._single
 
         # Group rows by shared schedule for per-step column assembly.
         by_sched: Dict[int, List[int]] = {}
@@ -259,14 +268,17 @@ class FleetSimulator:
         cpu_w = self.cpu_tbl[rows, segi]
 
         # -- Phase A: observe, decide, select, thermostat -------------
+        single, dual = self._single, self._dual
         soc_b = K.state_of_charge(st.avail_b, st.bound_b, p["cap_b"])
         soc_l = K.state_of_charge(st.avail_l, st.bound_l, p["cap_l"])
         t_cpu = st.node_temps[0]
         t_surf = st.node_temps[2]
 
+        # A single pack shows its one cell's SoC as both SoCs.
         choices = np.full(self.n, CHOICE_NONE, dtype=np.int8)
         obs = StepObservation(j=j, run=run, starts=starts, dts=dt,
-                              segi=segi, soc_big=soc_b, soc_little=soc_l,
+                              segi=segi, soc_big=soc_b,
+                              soc_little=np.where(single, soc_b, soc_l),
                               cpu_temp=t_cpu, surf_temp=t_surf,
                               active_big=st.active_big, base_w=base_w)
         for driver in self.drivers:
@@ -275,8 +287,9 @@ class FleetSimulator:
         dep_b = st.avail_b <= 1e-9
         dep_l = st.avail_l <= 1e-9
 
-        # pack.select: depleted-target fallback, then switch.request.
-        has = run & (choices >= 0)
+        # pack.select: depleted-target fallback, then switch.request
+        # (Phone.select_battery is a no-op on single packs).
+        has = run & dual & (choices >= 0)
         tgt_big = choices == CHOICE_BIG
         dep_t = np.where(tgt_big, dep_b, dep_l)
         dep_o = np.where(tgt_big, dep_l, dep_b)
@@ -330,7 +343,7 @@ class FleetSimulator:
         # scalar fallback re-runs this for irregular rows.  The dwell
         # guard must see the post-Phase-A switch time: a select commit
         # this step resets the dwell clock.
-        want = run & ~cs_act & (cs_idl | (dep_act & ~dep_idl))
+        want = run & dual & ~cs_act & (cs_idl | (dep_act & ~dep_idl))
         dwell_ok2 = ~((st.clock_s - st.last_switch_s) < p["sw_dwell_s"])
         fail_commit = want & dwell_ok2
         active2 = st.active_big ^ fail_commit
@@ -346,7 +359,7 @@ class FleetSimulator:
         overhead_w = unbilled / dt
         gross = total_w + overhead_w
 
-        # Supercap filter on the LITTLE rail.
+        # Supercap filter on the LITTLE rail (single rows stay on BIG).
         sc_rows = run & ~active2 & p["has_sc"]
         sc_batt, sc_capj, sc_heat, sc_v2 = K.supercap_smooth(
             gross, dt, st.supercap_v, p["sc_cap_f"], p["sc_rated_v"],
@@ -420,14 +433,16 @@ class FleetSimulator:
         sf_cell = np.where(zero, False, np.where(dep_pre, True, sf))
         heat3 = heat2 + heat_cell
 
-        # Rail accounting (pack.draw step 5).
+        # Rail accounting (pack.draw step 5); a single pack delivers
+        # the cell's energy as is.
         load_share = np.where(cap_j > 0.0, bp, K.pymin(gross, bp))
         bp_pos = bp > 0.0
         served_frac = np.where(
             bp_pos, energy_cell / np.where(bp_pos, bp * dt, 1.0), 1.0)
         rail_j = load_share * dt * served_frac + cap_j
-        delivered_j = K.pymin(total_w * dt,
-                              K.pymax(0.0, rail_j - overhead_w * dt))
+        delivered_j = np.where(
+            single, energy_cell,
+            K.pymin(total_w * dt, K.pymax(0.0, rail_j - overhead_w * dt)))
         deficit = total_w * dt - delivered_j
 
         # Mid-step deficit failover check against the *pre-step* idle
@@ -438,7 +453,7 @@ class FleetSimulator:
         avail_idl = np.where(active2, st.avail_l, st.avail_b)
         can_idle = _can_serve(dep_idl2, maxp_idl, veff_idl, avail_idl,
                               deficit / dt, dt)
-        failover = run & (deficit > 1e-9) & can_idle
+        failover = run & dual & (deficit > 1e-9) & can_idle
         irregular = partial | failover
         reg = run & ~irregular
 
@@ -485,11 +500,12 @@ class FleetSimulator:
 
         # Harness accounting (the run_discharge_cycle locals).
         st.energy_j = W(st.energy_j + delivered_j, st.energy_j)
-        big_mask = reg & active2
-        st.big_time_s = np.where(big_mask, st.big_time_s + dt,
+        # A single pack serves no rail (served_by is None).
+        reg_dual = reg & dual
+        st.big_time_s = np.where(reg_dual & active2, st.big_time_s + dt,
                                  st.big_time_s)
-        st.little_time_s = np.where(reg & ~active2, st.little_time_s + dt,
-                                    st.little_time_s)
+        st.little_time_s = np.where(reg_dual & ~active2,
+                                    st.little_time_s + dt, st.little_time_s)
         tc2 = st.node_temps[0]
         hotter = reg & (tc2 > st.max_temp_c)
         st.max_temp_c = np.where(hotter, tc2, st.max_temp_c)
@@ -525,8 +541,10 @@ class FleetSimulator:
         rec = run & ((st.steps_run % p["record_every"]) == 0)
         if rec.any():
             sel = np.nonzero(rec)[0]
-            soc = (((st.avail_b + st.bound_b) +
-                    (st.avail_l + st.bound_l)) / p["cap_total"])
+            soc = np.where(
+                single, K.state_of_charge(st.avail_b, st.bound_b, p["cap_b"]),
+                ((st.avail_b + st.bound_b) + (st.avail_l + st.bound_l))
+                / p["cap_total"])
             self._snapshots.append(
                 (sel, t_end[sel], soc[sel], st.node_temps[0][sel],
                  power_final[sel], voltage_final[sel]))
@@ -581,22 +599,26 @@ class FleetSimulator:
         pack = phone.pack
         sched = self.schedules[r]
 
+        single = bool(self._single[r])
+        cells = slot_cells(pack)
+
         # Push: arrays -> objects (post-Phase-A state).
-        for tag, cell in (("b", pack.big), ("l", pack.little)):
+        for tag, cell in cells:
             cell._available = float(getattr(st, f"avail_{tag}")[r])
             cell._bound = float(getattr(st, f"bound_{tag}")[r])
             cell._v_transient = float(getattr(st, f"vtrans_{tag}")[r])
             cell._throughput = float(getattr(st, f"throughput_{tag}")[r])
             cell.temperature_c = float(st.cell_temp_c[r])
-        sw = pack.switch
-        sw._active = _BIG if st.active_big[r] else _LITTLE
-        sw._last_switch_time = float(st.last_switch_s[r])
-        sw._energy_spent_j = float(st.sw_energy_spent_j[r])
-        sw._heat_emitted_j = float(st.sw_heat_pending_j[r])
-        sw._pending_energy_j = float(st.sw_energy_pending_j[r])
-        sw._events = []
-        if pack.supercap is not None:
-            pack.supercap._voltage = float(st.supercap_v[r])
+        if not single:
+            sw = pack.switch
+            sw._active = _BIG if st.active_big[r] else _LITTLE
+            sw._last_switch_time = float(st.last_switch_s[r])
+            sw._energy_spent_j = float(st.sw_energy_spent_j[r])
+            sw._heat_emitted_j = float(st.sw_heat_pending_j[r])
+            sw._pending_energy_j = float(st.sw_energy_pending_j[r])
+            sw._events = []
+            if pack.supercap is not None:
+                pack.supercap._voltage = float(st.supercap_v[r])
         tec = phone.tec
         tec._on = bool(st.tec_on[r])
         tec._on_time_s = float(st.tec_on_time_s[r])
@@ -611,20 +633,21 @@ class FleetSimulator:
         outcome = phone.step(demand, step_dt)
 
         # Pull: objects -> arrays.
-        for tag, cell in (("b", pack.big), ("l", pack.little)):
+        for tag, cell in cells:
             getattr(st, f"avail_{tag}")[r] = cell._available
             getattr(st, f"bound_{tag}")[r] = cell._bound
             getattr(st, f"vtrans_{tag}")[r] = cell._v_transient
             getattr(st, f"throughput_{tag}")[r] = cell._throughput
-        st.cell_temp_c[r] = pack.big.temperature_c
-        st.active_big[r] = sw.active is _BIG
-        st.last_switch_s[r] = sw._last_switch_time
-        st.switch_events[r] += len(sw._events)
-        st.sw_energy_spent_j[r] = sw._energy_spent_j
-        st.sw_heat_pending_j[r] = sw._heat_emitted_j
-        st.sw_energy_pending_j[r] = sw._pending_energy_j
-        if pack.supercap is not None:
-            st.supercap_v[r] = pack.supercap._voltage
+        st.cell_temp_c[r] = cells[0][1].temperature_c
+        if not single:
+            st.active_big[r] = sw.active is _BIG
+            st.last_switch_s[r] = sw._last_switch_time
+            st.switch_events[r] += len(sw._events)
+            st.sw_energy_spent_j[r] = sw._energy_spent_j
+            st.sw_heat_pending_j[r] = sw._heat_emitted_j
+            st.sw_energy_pending_j[r] = sw._pending_energy_j
+            if pack.supercap is not None:
+                st.supercap_v[r] = pack.supercap._voltage
         st.tec_on_time_s[r] = tec.on_time_s
         st.tec_energy_j[r] = tec.energy_used_j
         for ni, name in enumerate(NODE_NAMES):

@@ -16,10 +16,17 @@ FleetSimulator` advances in lockstep:
   supercap sizing, TEC drive, thermostat thresholds) are read off the
   constructed objects into padded ``(N,)`` arrays.
 
-Devices the vectorised path cannot reproduce exactly (single-battery
-packs, overridden demand filters, supervised/fault policies, custom
-component subclasses) raise :class:`UnsupportedDeviceError` -- callers
-like the sweep runner route those rows to the scalar engine instead.
+A single-battery pack (the ``Practice`` baseline) loads its cell into
+the "big" slot; its "little" slot holds a zero-charge phantom that is
+always depleted, and the per-row ``single`` mask gates the branches
+where :meth:`~repro.battery.pack.SingleBatteryPack.draw` differs from
+the big.LITTLE draw.
+
+Devices the vectorised path cannot reproduce exactly (overridden
+demand filters, supervised/fault policies, custom component
+subclasses) raise :class:`UnsupportedDeviceError` -- callers like the
+sweep runner route those rows to the scalar engine instead, and
+:func:`unsupported_reason` says why.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..battery.cell import Cell
-from ..battery.pack import BigLittlePack
+from ..battery.pack import BigLittlePack, SingleBatteryPack
 from ..battery.supercap import Supercapacitor
 from ..battery.switch import BatterySelection, BatterySwitch
 from ..device.phone import Phone
@@ -47,7 +54,7 @@ from ..workload.base import Segment
 from ..workload.traces import Trace
 
 __all__ = ["DeviceSpec", "FleetSpec", "UnsupportedDeviceError",
-           "supports_policy", "NODE_NAMES"]
+           "supports_policy", "unsupported_reason", "NODE_NAMES"]
 
 #: Canonical node order of the phone thermal network; the fleet's
 #: ``node_temps`` columns use these indices.
@@ -149,37 +156,65 @@ def _check_policy(policy: SchedulingPolicy) -> Optional[str]:
     return None
 
 
+def _check_cell(cell) -> Optional[str]:
+    """Reason the cell is unsupported, or None when it is fine."""
+    if type(cell) is not Cell:
+        return "custom cell subclass"
+    _, tau = cell.chemistry.effective_transient()
+    if tau <= 0:
+        return "chemistry with non-positive transient tau"
+    return None
+
+
 def _check_pack(pack) -> Optional[str]:
     """Reason the pack is unsupported, or None when it is fine."""
+    if type(pack) is SingleBatteryPack:
+        return _check_cell(pack.cell)
     if type(pack) is not BigLittlePack:
-        return f"pack type {type(pack).__name__} is not BigLittlePack"
+        return (f"pack type {type(pack).__name__} is neither "
+                f"BigLittlePack nor SingleBatteryPack")
     if type(pack.switch) is not BatterySwitch:
         return "custom switch subclass"
     if pack.supercap is not None and type(pack.supercap) is not Supercapacitor:
         return "custom supercapacitor subclass"
     for cell in (pack.big, pack.little):
-        if type(cell) is not Cell:
-            return "custom cell subclass"
-        _, tau = cell.chemistry.effective_transient()
-        if tau <= 0:
-            return "chemistry with non-positive transient tau"
+        reason = _check_cell(cell)
+        if reason is not None:
+            return reason
     return None
 
 
-def supports_policy(policy: SchedulingPolicy) -> bool:
-    """Whether the fleet path can reproduce this policy's cycle exactly.
+def slot_cells(pack) -> Tuple[Tuple[str, Cell], ...]:
+    """``(tag, cell)`` for each state-array slot a live pack fills.
 
-    Probes :meth:`~repro.sim.discharge.SchedulingPolicy.build_pack` on
-    a throwaway instance, so it is safe to call on a template policy.
+    A single-battery pack fills only the "big" slot; its "little" slot
+    is the zero-charge phantom, which has no object twin.
+    """
+    if type(pack) is SingleBatteryPack:
+        return (("b", pack.cell),)
+    return (("b", pack.big), ("l", pack.little))
+
+
+def unsupported_reason(policy: SchedulingPolicy) -> Optional[str]:
+    """Why the fleet path cannot reproduce this policy's cycle exactly.
+
+    None when it can.  Probes
+    :meth:`~repro.sim.discharge.SchedulingPolicy.build_pack` on a
+    throwaway instance, so it is safe to call on a template policy.
     """
     reason = _check_policy(policy)
     if reason is not None:
-        return False
+        return reason
     try:
         pack = policy.build_pack()
-    except Exception:
-        return False
-    return _check_pack(pack) is None
+    except Exception as exc:
+        return f"build_pack raised {type(exc).__name__}: {exc}"
+    return _check_pack(pack)
+
+
+def supports_policy(policy: SchedulingPolicy) -> bool:
+    """Whether the fleet path can reproduce this policy's cycle exactly."""
+    return unsupported_reason(policy) is None
 
 
 class FleetSpec:
@@ -256,7 +291,15 @@ class FleetSpec:
             policies.append(policy)
             schedules.append(sched)
 
-            for tag, cell in (("b", pack.big), ("l", pack.little)):
+            single = type(pack) is SingleBatteryPack
+            params.setdefault("single", np.zeros(n, dtype=bool))[i] = single
+            slots = slot_cells(pack)
+            if single:
+                # The phantom LITTLE cell: the real cell's chemistry at
+                # zero charge, so it is depleted from the first step on.
+                slots += (("l", Cell(pack.cell.chemistry,
+                                     pack.cell.capacity_mah, soc=0.0)),)
+            for tag, cell in slots:
                 chem = cell.chemistry
                 r1, tau = chem.effective_transient()
                 farr(f"cap_{tag}")[i] = cell.capacity_amp_s
@@ -272,12 +315,12 @@ class FleetSpec:
                 farr(f"r1_{tag}")[i] = r1
                 farr(f"tau_{tag}")[i] = tau
 
-            sw = pack.switch
-            farr("sw_energy_j")[i] = sw.switch_energy_j
-            farr("sw_heat_j")[i] = sw.switch_heat_j
-            farr("sw_dwell_s")[i] = sw.min_dwell_s
+            sw = None if single else pack.switch
+            farr("sw_energy_j")[i] = sw.switch_energy_j if sw else 0.0
+            farr("sw_heat_j")[i] = sw.switch_heat_j if sw else 0.0
+            farr("sw_dwell_s")[i] = sw.min_dwell_s if sw else 0.0
 
-            sc = pack.supercap
+            sc = None if single else pack.supercap
             has_sc = params.setdefault("has_sc", np.zeros(n, dtype=bool))
             has_sc[i] = sc is not None
             farr("sc_cap_f")[i] = sc.capacitance_f if sc else 1.0
@@ -298,7 +341,8 @@ class FleetSpec:
             brw = params.setdefault("brownout_limit", np.zeros(n, np.int64))
             brw[i] = dev.brownout_limit
 
-        params["cap_total"] = params["cap_b"] + params["cap_l"]
+        params["cap_total"] = np.where(params["single"], params["cap_b"],
+                                       params["cap_b"] + params["cap_l"])
 
         # Demand-power tables via the real per-phone memo: (N, max_segs).
         max_segs = max(len(s.segments) for s in schedules)
@@ -327,22 +371,27 @@ def initial_state_from_phones(phones: Sequence[Phone]):
     n = len(phones)
     st = FleetState(n)
     for i, phone in enumerate(phones):
-        pack: BigLittlePack = phone.pack
-        for tag, cell in (("b", pack.big), ("l", pack.little)):
+        pack = phone.pack
+        cells = slot_cells(pack)
+        for tag, cell in cells:
             getattr(st, f"avail_{tag}")[i] = cell._available
             getattr(st, f"bound_{tag}")[i] = cell._bound
             getattr(st, f"vtrans_{tag}")[i] = cell._v_transient
             getattr(st, f"throughput_{tag}")[i] = cell._throughput
-        st.cell_temp_c[i] = pack.big.temperature_c
-        sw = pack.switch
-        st.active_big[i] = sw.active is BatterySelection.BIG
-        st.last_switch_s[i] = sw._last_switch_time
-        st.switch_events[i] = len(sw._events)
-        st.sw_energy_spent_j[i] = sw._energy_spent_j
-        st.sw_heat_pending_j[i] = sw._heat_emitted_j
-        st.sw_energy_pending_j[i] = sw._pending_energy_j
-        if pack.supercap is not None:
-            st.supercap_v[i] = pack.supercap._voltage
+        st.cell_temp_c[i] = cells[0][1].temperature_c
+        if type(pack) is SingleBatteryPack:
+            # The scalar harness reports a single pack as active BIG.
+            st.active_big[i] = True
+        else:
+            sw = pack.switch
+            st.active_big[i] = sw.active is BatterySelection.BIG
+            st.last_switch_s[i] = sw._last_switch_time
+            st.switch_events[i] = len(sw._events)
+            st.sw_energy_spent_j[i] = sw._energy_spent_j
+            st.sw_heat_pending_j[i] = sw._heat_emitted_j
+            st.sw_energy_pending_j[i] = sw._pending_energy_j
+            if pack.supercap is not None:
+                st.supercap_v[i] = pack.supercap._voltage
         st.tec_on[i] = phone.tec.is_on
         st.tec_on_time_s[i] = phone.tec.on_time_s
         st.tec_energy_j[i] = phone.tec.energy_used_j

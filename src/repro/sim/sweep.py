@@ -633,7 +633,8 @@ class ScenarioRunner:
     journal:
         Optional path of a write-ahead run journal.  :meth:`run` then
         records every cell start and every committed result durably
-        (fsync per record), and :meth:`resume` can continue the sweep
+        (fsync'd before it goes on; records that land together share
+        one fsync), and :meth:`resume` can continue the sweep
         after a crash/SIGKILL without recomputing committed cells.
         In-flight cells checkpoint into sidecar files under
         ``<journal>.d/`` and restart from their last checkpoint.
@@ -830,25 +831,29 @@ class ScenarioRunner:
         telemetry, so the batch forms only where none of those is
         asked for, and only when it is big enough to beat the scalar
         engine (:data:`FLEET_MIN_ROWS`).  The cheap gates run first:
-        :func:`repro.fleet.supports_policy` builds a throwaway pack,
-        which can be slow, so it runs once per distinct policy object.
+        :func:`repro.fleet.unsupported_reason` builds a throwaway pack,
+        which can be slow, so it runs once per distinct policy object,
+        and each rejected policy's reason is logged once.
         """
         if (self.executor is not None or self.workers != 1
                 or self.cell_timeout_s is not None
                 or (journal is not None and self.checkpoint_every_steps)
                 or observing or len(pending) < FLEET_MIN_ROWS):
             return []
-        from ..fleet import supports_policy
+        from ..fleet import unsupported_reason
 
-        supported: Dict[int, bool] = {}
+        reasons: Dict[int, Optional[str]] = {}
         batch: List[ScenarioCell] = []
         for cell in pending:
             if cell.kind != "discharge" or cell.extra:
                 continue
-            ok = supported.get(id(cell.policy))
-            if ok is None:
-                ok = supported[id(cell.policy)] = supports_policy(cell.policy)
-            if ok:
+            key = id(cell.policy)
+            if key not in reasons:
+                reason = reasons[key] = unsupported_reason(cell.policy)
+                if reason is not None:
+                    _log.info("policy %r runs on the scalar engine: %s",
+                              cell.policy_key, reason)
+            if reasons[key] is None:
                 batch.append(cell)
         return batch if len(batch) >= FLEET_MIN_ROWS else []
 
@@ -929,36 +934,43 @@ class ScenarioRunner:
                     if sidecar.exists():
                         stats.cells_checkpoint_resumed += 1
                         resumable.add(cell.index)
-                for cell in pending:
-                    journal.append("cell_start", {
-                        "index": cell.index,
-                        "key": keys[cell.index],
-                        "label": cell.label,
-                    })
+                journal.append_many(
+                    ("cell_start", {"index": cell.index,
+                                    "key": keys[cell.index],
+                                    "label": cell.label})
+                    for cell in pending)
 
-            def _finalise(index: int, outcome: CellOutcome) -> None:
-                """Durably commit a final outcome as it lands.
+            def _finalise(items: Sequence[Tuple[int, CellOutcome]]) -> None:
+                """Durably commit final outcomes that land together.
 
-                Failures are deliberately not committed -- a resume retries
-                them -- and a committed cell's sidecar checkpoint is
-                deleted: the commit record supersedes it.
+                The commits go to the journal as one group.  Failures
+                are deliberately not committed -- a resume retries them
+                -- and a committed cell's sidecar checkpoint is deleted:
+                the commit record supersedes it.
                 """
-                self._set_state(index, "failed"
-                                if isinstance(outcome, CellFailure)
-                                else "done")
-                if journal is None or isinstance(outcome, CellFailure):
+                commits: List[Tuple[int, CellOutcome]] = []
+                for index, outcome in items:
+                    failed = isinstance(outcome, CellFailure)
+                    self._set_state(index, "failed" if failed else "done")
+                    if journal is not None and not failed:
+                        commits.append((index, outcome))
+                if not commits:
                     return
-                journal.append("cell_commit", {
-                    "index": index,
-                    "key": keys[index],
-                    "result": encode_blob(pickle.dumps(outcome, protocol=4)),
-                })
-                sidecar = ckpts.get(index)
-                if sidecar is not None:
-                    try:
-                        os.unlink(sidecar)
-                    except OSError:
-                        pass
+                journal.append_many(
+                    ("cell_commit", {
+                        "index": index,
+                        "key": keys[index],
+                        "result": encode_blob(pickle.dumps(
+                            outcome, protocol=4)),
+                    })
+                    for index, outcome in commits)
+                for index, _ in commits:
+                    sidecar = ckpts.get(index)
+                    if sidecar is not None:
+                        try:
+                            os.unlink(sidecar)
+                        except OSError:
+                            pass
 
             computed: List[Tuple[int, CellOutcome, float, int]] = []
             fleet_batch = self._fleet_batch(
@@ -974,8 +986,8 @@ class ScenarioRunner:
                         self._set_state(cell.index, "queued")
                 else:
                     stats.cells_fleet += len(fleet_items)
-                    for index, outcome, _, _ in fleet_items:
-                        _finalise(index, outcome)
+                    _finalise([(index, outcome)
+                               for index, outcome, _, _ in fleet_items])
                     computed.extend(fleet_items)
                     taken = {cell.index for cell in fleet_batch}
                     pending = [cell for cell in pending
@@ -991,7 +1003,8 @@ class ScenarioRunner:
                     retry=self.retry,
                     workers=self.workers,
                     obs_enabled=observing,
-                    on_final=_finalise,
+                    on_final=lambda index, outcome: _finalise(
+                        [(index, outcome)]),
                     stats=stats,
                     journal_append=(journal.append
                                     if journal is not None else None),

@@ -227,6 +227,39 @@ class TestRunJournal:
         journal.close()
         with pytest.raises(JournalError):
             journal.append("start", {})
+        with pytest.raises(JournalError):
+            journal.append_many([("start", {})])
+
+    def test_append_many_matches_single_appends_byte_for_byte(
+            self, tmp_path):
+        records = [("start", {"n": 3})] + [
+            ("commit", {"i": i, "blob": encode_blob(bytes([i]))})
+            for i in range(3)]
+        single, grouped = tmp_path / "single.journal", tmp_path / "group.journal"
+        with RunJournal(single) as journal:
+            seqs = [journal.append(rtype, data) for rtype, data in records]
+        with RunJournal(grouped) as journal:
+            assert journal.append_many([]) == []
+            assert journal.append_many(records[:1]) == [0]
+            assert journal.append_many(records[1:]) == [1, 2, 3]
+            assert journal.next_seq == 4
+        assert seqs == [0, 1, 2, 3]
+        assert grouped.read_bytes() == single.read_bytes()
+
+    def test_group_commit_torn_mid_write_keeps_whole_records(self, tmp_path):
+        """A kill inside a group's write tears only that record: replay
+        keeps every whole record before it, and the journal extends
+        cleanly from there."""
+        path = tmp_path / "run.journal"
+        with RunJournal(path) as journal:
+            journal.append_many([("commit", {"i": i}) for i in range(4)])
+        raw = path.read_bytes()
+        lines = raw.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + lines[2][:len(lines[2]) // 2])
+        assert [r["data"]["i"] for r in RunJournal.replay(path)] == [0, 1]
+        with RunJournal(path) as journal:
+            assert journal.append_many([("commit", {"i": 2})]) == [2]
+        assert [r["seq"] for r in RunJournal.replay(path)] == [0, 1, 2]
 
 
 # ----------------------------------------------------------------------

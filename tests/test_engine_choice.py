@@ -6,21 +6,28 @@ batch once there are at least ``FLEET_MIN_ROWS`` of them; everything
 else runs on the scalar engine.  These tests pin the threshold, the
 byte-identity of both paths against per-cell ``run_discharge_cycle``,
 exactly-once journal commits across a torn-tail resume, the counted
-fallback, and that served jobs report which engine ran their cells.
+fallback, the logged rejection reasons, and that served jobs report
+which engine ran their cells.
 """
 
+import base64
 import dataclasses
+import logging
 import pickle
 
 import pytest
 
 from repro import obs
-from repro.capman.baselines import DualPolicy, HeuristicPolicy
+from repro.battery.cell import Cell
+from repro.battery.chemistry import LCO
+from repro.battery.pack import SingleBatteryPack
+from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
 from repro.fleet import FleetSpec
-from repro.service import CapmanService
+from repro.service import CapmanService, parse_spec
 from repro.sim.chaos import journal_commit_counts
 from repro.sim.discharge import run_discharge_cycle
+from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import FLEET_MIN_ROWS, ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -43,6 +50,22 @@ def _spec(n_cells: int) -> SweepSpec:
     return SweepSpec(policies=policies, traces={"video": _TRACE},
                      control_dts=(CONTROL_DT,),
                      max_duration_s=MAX_DURATION_S)
+
+
+class _TaggedCell(Cell):
+    """A cell subclass: the fleet cannot vouch for its physics."""
+
+
+@dataclasses.dataclass
+class _TaggedCellPractice(PracticePolicy):
+    def build_pack(self):
+        return SingleBatteryPack(cell=_TaggedCell(LCO, self.capacity_mah))
+
+
+@dataclasses.dataclass
+class _ThrottledDual(DualPolicy):
+    def filter_demand(self, demand, ctx):
+        return demand
 
 
 def _oracle(spec: SweepSpec):
@@ -140,6 +163,31 @@ def test_ineligible_runners_keep_the_scalar_path(tmp_path):
         assert runner.run(spec).stats.cells_fleet == 0
 
 
+def test_rejected_policies_log_their_reason_once(caplog):
+    """Each distinct policy the fleet rejects is logged once, with the
+    reason, however many cells it has; the supported cells still batch
+    and every cell still matches the oracle."""
+    policies = {f"p{i}": _KINDS[i % 3](capacity_mah=30.0 + 20.0 * i)
+                for i in range(FLEET_MIN_ROWS // 2)}
+    policies["tagged"] = _TaggedCellPractice(capacity_mah=400.0)
+    policies["throttled"] = _ThrottledDual(capacity_mah=60.0)
+    spec = SweepSpec(policies=policies, traces={"video": _TRACE},
+                     control_dts=(CONTROL_DT,), ambients_c=(25.0, 35.0),
+                     max_duration_s=MAX_DURATION_S)
+    with caplog.at_level(logging.INFO, logger="repro.sim.sweep"):
+        result = ScenarioRunner().run(spec)
+    assert result.stats.cells_fleet == FLEET_MIN_ROWS
+    assert result.stats.cells_computed == FLEET_MIN_ROWS + 4
+    messages = [record.getMessage() for record in caplog.records
+                if "runs on the scalar engine" in record.getMessage()]
+    assert messages == [
+        "policy 'tagged' runs on the scalar engine: custom cell subclass",
+        "policy 'throttled' runs on the scalar engine: policy overrides "
+        "filter_demand (demand rewriting)",
+    ]
+    assert _bytes(result) == _oracle(spec)
+
+
 def test_observed_sweeps_stay_scalar_and_export_the_counters():
     obs.configure(enabled=True)
     try:
@@ -176,3 +224,40 @@ def test_served_jobs_report_the_engine_that_ran_them(service):
         assert status["state"] == "done"
         assert status["stats"]["cells_fleet"] == fleet_rows
         assert status["stats"]["fleet_fallbacks"] == 0
+
+
+def test_served_four_policy_grid_runs_every_cell_on_the_fleet(service):
+    """The paper's comparison grid -- Practice beside Dual, Heuristic
+    and CAPMAN -- runs wholly on the fleet engine when served, and its
+    results are byte-equal to a scalar run of the same grid."""
+    host, port = service.address
+    base = f"http://{host}:{port}"
+    grid = {
+        "policies": {
+            "Practice": {"type": "practice", "capacity_mah": 400.0},
+            "Dual": {"type": "dual", "capacity_mah": 200.0},
+            "Heuristic": {"type": "heuristic", "capacity_mah": 200.0},
+            "CAPMAN": {"type": "capman", "capacity_mah": 200.0},
+        },
+        "traces": {"V": {"workload": "video", "seed": 3,
+                         "duration_s": 60.0}},
+        "profiles": ["Nexus", "Honor"],
+        "ambients_c": [25.0, 35.0],
+        "max_duration_s": MAX_DURATION_S,
+    }
+    code, ack = api(base, "POST", "/jobs", body=grid)
+    assert code == 201
+    status = wait_for_job(base, ack["job_id"])
+    assert status["state"] == "done"
+    stats = status["stats"]
+    assert stats["cells_total"] == FLEET_MIN_ROWS
+    assert stats["cells_fleet"] == stats["cells_total"]
+    assert stats["fleet_fallbacks"] == 0
+
+    code, results = api(base, "GET", f"/jobs/{ack['job_id']}/results")
+    assert code == 200
+    served = [base64.b64decode(cell) for cell in results["cells"]]
+    scalar = ScenarioRunner(executor=LocalProcessExecutor(1)).run(
+        parse_spec(grid))
+    assert scalar.stats.cells_fleet == 0
+    assert served == _bytes(scalar)

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.capman.baselines import DualPolicy, HeuristicPolicy
+from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, NEXUS
 from repro.fleet import DeviceSpec, FleetSpec
@@ -34,10 +34,12 @@ _VIDEO = record_trace(VideoWorkload(seed=7), duration_s=90.0)
 _ETA = record_trace(EtaStaticWorkload(0.5, seed=1), duration_s=90.0)
 
 #: Small heterogeneous pool the strategies index into.  Mixes policies
-#: (all vector-driven: Dual, CAPMAN, Heuristic), profiles, traces and
-#: capacities -- including a 40 mAh cell that depletes inside the
-#: window to drag the irregular-row fallback path into the properties,
-#: and a CAPMAN twin so random batches exercise trajectory dedupe.
+#: (all vector-driven: Dual, CAPMAN, Heuristic, Practice), pack kinds
+#: (big.LITTLE and single-battery), profiles, traces and capacities --
+#: including a 40 mAh cell that depletes inside the window to drag the
+#: irregular-row fallback path into the properties, an 80 mAh Practice
+#: cell that browns out, and a CAPMAN twin so random batches exercise
+#: trajectory dedupe.
 POOL = [
     ("dual-nexus-small",
      lambda: DeviceSpec(policy=DualPolicy(capacity_mah=40.0), trace=_VIDEO,
@@ -54,6 +56,14 @@ POOL = [
     ("dual-honor-eta",
      lambda: DeviceSpec(policy=DualPolicy(capacity_mah=400.0), trace=_ETA,
                         profile=HONOR, control_dt=CONTROL_DT,
+                        max_duration_s=MAX_DURATION_S)),
+    ("practice-nexus",
+     lambda: DeviceSpec(policy=PracticePolicy(capacity_mah=400.0),
+                        trace=_VIDEO, profile=NEXUS, control_dt=CONTROL_DT,
+                        max_duration_s=MAX_DURATION_S)),
+    ("practice-honor-eta-small",
+     lambda: DeviceSpec(policy=PracticePolicy(capacity_mah=80.0),
+                        trace=_ETA, profile=HONOR, control_dt=CONTROL_DT,
                         max_duration_s=MAX_DURATION_S)),
     # Same configuration as capman-honor: batches drawing both rows
     # must dedupe them onto one learned trajectory and still match.

@@ -16,11 +16,14 @@ import pickle
 
 import pytest
 
+from repro.battery.cell import Cell
+from repro.battery.chemistry import LCO
+from repro.battery.pack import SingleBatteryPack
 from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
-from repro.device.profiles import HONOR, NEXUS
+from repro.device.profiles import HONOR, LENOVO, NEXUS
 from repro.fleet import (DeviceSpec, FleetSpec, UnsupportedDeviceError,
-                         supports_policy)
+                         supports_policy, unsupported_reason)
 from repro.sim.discharge import run_discharge_cycle
 from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import ScenarioRunner, SweepSpec
@@ -129,6 +132,64 @@ def test_capman_hot_spot_lean_matches_scalar():
     assert _frozen(mine) == _frozen(oracle)
 
 
+# ----------------------------------------------------------------------
+# Single-battery (Practice) rows
+# ----------------------------------------------------------------------
+#: A Practice pack that lives through the whole 300 s window.
+PRACTICE_MAH = 400.0
+
+
+def _practice_device(profile, capacity_mah=PRACTICE_MAH,
+                     max_duration_s=MAX_DURATION_S) -> DeviceSpec:
+    return DeviceSpec(policy=PracticePolicy(capacity_mah=capacity_mah),
+                      trace=_TRACE, profile=profile, control_dt=CONTROL_DT,
+                      max_duration_s=max_duration_s)
+
+
+def _practice_scalar(profile, capacity_mah=PRACTICE_MAH,
+                     max_duration_s=MAX_DURATION_S):
+    return run_discharge_cycle(
+        PracticePolicy(capacity_mah=capacity_mah), _TRACE, profile=profile,
+        control_dt=CONTROL_DT, max_duration_s=max_duration_s)
+
+
+@pytest.mark.parametrize("profile", [NEXUS, HONOR, LENOVO],
+                         ids=lambda profile: profile.name)
+def test_practice_batch_of_one_is_bit_identical_to_scalar(profile):
+    oracle = _practice_scalar(profile)
+    [mine] = FleetSpec([_practice_device(profile)]).build().run()
+    assert _frozen(mine) == _frozen(oracle)
+    assert mine.switch_count == 0
+    assert mine.big_time_s == mine.little_time_s == 0.0
+
+
+def test_mixed_practice_and_big_little_batch_matches_scalar_rowwise():
+    """Practice rows (one surviving, one browning out at 2x the small
+    cell) share a batch with Dual, Heuristic and CAPMAN rows."""
+    devices = [_practice_device(NEXUS), _device("dual", "nexus"),
+               _practice_device(HONOR, capacity_mah=2 * CAPACITY_MAH),
+               _device("heuristic", "honor"), _device("capman", "nexus"),
+               _practice_device(LENOVO)]
+    oracles = [_practice_scalar(NEXUS), _scalar("dual", "nexus"),
+               _practice_scalar(HONOR, capacity_mah=2 * CAPACITY_MAH),
+               _scalar("heuristic", "honor"), _scalar("capman", "nexus"),
+               _practice_scalar(LENOVO)]
+    results = FleetSpec(devices).build().run()
+    for slot, (mine, oracle) in enumerate(zip(results, oracles)):
+        assert _frozen(mine) == _frozen(oracle), f"row {slot} diverged"
+
+
+def test_practice_depletion_takes_the_partial_draw_replay():
+    """Over a 1200 s window the 400 mAh Practice cell runs dry mid-step:
+    the row replays through its single-pack Phone and still matches."""
+    sim = FleetSpec([_practice_device(NEXUS, max_duration_s=1200.0)]).build()
+    [mine] = sim.run()
+    oracle = _practice_scalar(NEXUS, max_duration_s=1200.0)
+    assert sim.fallback_steps > 0
+    assert mine.service_time_s < 1200.0
+    assert _frozen(mine) == _frozen(oracle)
+
+
 def test_depletion_stress_exercises_fallback_rows():
     """The dual cases deplete mid-window; the simulator must have taken
     its object-replay fallback path at least once and still matched."""
@@ -142,10 +203,23 @@ def test_depletion_stress_exercises_fallback_rows():
 # ----------------------------------------------------------------------
 # Capability gate
 # ----------------------------------------------------------------------
+class _TaggedCell(Cell):
+    """A cell subclass: the fleet cannot vouch for its physics."""
+
+
+@dataclasses.dataclass
+class _TaggedCellPractice(PracticePolicy):
+    name: str = "TaggedPractice"
+
+    def build_pack(self):
+        return SingleBatteryPack(cell=_TaggedCell(LCO, self.capacity_mah))
+
+
 def test_unsupported_pack_raises_at_build_time():
-    dev = DeviceSpec(policy=PracticePolicy(capacity_mah=80.0), trace=_TRACE,
-                     control_dt=CONTROL_DT, max_duration_s=MAX_DURATION_S)
-    with pytest.raises(UnsupportedDeviceError):
+    dev = DeviceSpec(policy=_TaggedCellPractice(capacity_mah=80.0),
+                     trace=_TRACE, control_dt=CONTROL_DT,
+                     max_duration_s=MAX_DURATION_S)
+    with pytest.raises(UnsupportedDeviceError, match="custom cell subclass"):
         FleetSpec([dev]).build()
 
 
@@ -153,7 +227,10 @@ def test_supports_policy_probe():
     assert supports_policy(DualPolicy(capacity_mah=CAPACITY_MAH))
     assert supports_policy(CapmanPolicy(capacity_mah=CAPACITY_MAH))
     assert supports_policy(HeuristicPolicy(capacity_mah=CAPACITY_MAH))
-    assert not supports_policy(PracticePolicy(capacity_mah=80.0))
+    assert supports_policy(PracticePolicy(capacity_mah=80.0))
+    assert not supports_policy(_TaggedCellPractice(capacity_mah=80.0))
+    assert unsupported_reason(_TaggedCellPractice(capacity_mah=80.0)) == \
+        "custom cell subclass"
 
 
 def test_build_does_not_mutate_caller_policies():
@@ -177,8 +254,7 @@ def _sweep_spec() -> SweepSpec:
             "dual": DualPolicy(capacity_mah=CAPACITY_MAH),
             "heuristic": HeuristicPolicy(capacity_mah=CAPACITY_MAH),
             "capman-replan": POLICIES["capman-replan"](),
-            # Single-battery pack: fleet-unsupported, must silently take
-            # the scalar path inside the same sweep.
+            # Single-battery pack: joins the same fleet batch.
             "practice": PracticePolicy(capacity_mah=2 * CAPACITY_MAH),
         },
         traces={"video": _TRACE},
@@ -190,14 +266,15 @@ def _sweep_spec() -> SweepSpec:
 
 
 def test_sweep_fleet_backend_matches_scalar_backend():
-    """The default in-process runner batches the 16 fleet-supported
-    cells; an explicit executor keeps every cell on the scalar engine."""
+    """The default in-process runner batches all 20 cells, Practice
+    included; an explicit executor keeps every cell on the scalar
+    engine."""
     scalar = ScenarioRunner(
         workers=1, executor=LocalProcessExecutor(1)).run(_sweep_spec())
     fleet = ScenarioRunner(workers=1).run(_sweep_spec())
 
     assert len(fleet.results) == len(scalar.results) == 20
-    assert (scalar.stats.cells_fleet, fleet.stats.cells_fleet) == (0, 16)
+    assert (scalar.stats.cells_fleet, fleet.stats.cells_fleet) == (0, 20)
     for mine, theirs in zip(fleet.results, scalar.results):
         assert _frozen(mine) == _frozen(theirs)
     assert fleet.stats.cells_computed == scalar.stats.cells_computed
