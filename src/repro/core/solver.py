@@ -47,6 +47,33 @@ def _q_from_values(
     return q
 
 
+def _compile(mdp: MDP):
+    """Flatten ``mdp`` into index lists for the Bellman sweeps.
+
+    Returns ``(plan, edges)``.  ``plan`` holds one ``(i, outcomes)``
+    per non-absorbing state, in ``mdp.states`` order, where
+    ``outcomes`` lists, per action in :meth:`MDP.available_actions`
+    order, the ``(p, reward, j)`` triples of its successors in
+    transition-dict order (``j`` indexes ``mdp.states``).  ``edges``
+    holds ``((s, a), outcomes)`` in ``mdp.transitions`` order for the
+    final Q table.  Each outcome list is built once and shared.
+    """
+    index = {s: i for i, s in enumerate(mdp.states)}
+    rewards = mdp.rewards
+    edges = [
+        ((s, a), [(p, rewards.get((s, a, sp), 0.0), index[sp])
+                  for sp, p in dist.items()])
+        for (s, a), dist in mdp.transitions.items()
+    ]
+    by_key = dict(edges)
+    plan = []
+    for i, s in enumerate(mdp.states):
+        acts = mdp.available_actions(s)
+        if acts:
+            plan.append((i, [by_key[(s, a)] for a in acts]))
+    return plan, edges
+
+
 def value_iteration(
     mdp: MDP,
     rho: float = 0.9,
@@ -57,39 +84,44 @@ def value_iteration(
 
     ``rho`` is the discount factor of Eq. (6); convergence is geometric
     at rate ``rho`` (the contraction the paper's bound leans on).
+
+    The sweeps run over the index lists of :func:`_compile` rather than
+    the MDP's dictionaries.  Every Q term is the same expression over
+    the same operands in the same order, so values, Q, policy,
+    ``iterations`` and ``residual`` are bit-identical to the
+    dictionary-walking form (kept as ``tests/solver_oracle.py``).
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    values: Dict[State, float] = {s: 0.0 for s in mdp.states}
+    plan, edges = _compile(mdp)
+    v = [0.0] * len(mdp.states)
     residual = math.inf
     it = 0
     for it in range(1, max_iter + 1):
         residual = 0.0
-        new_values = dict(values)
-        for s in mdp.states:
-            acts = mdp.available_actions(s)
-            if not acts:
-                continue
+        new_v = list(v)
+        for i, actions in plan:
             best = -math.inf
-            for a in acts:
-                q = sum(
-                    p * (mdp.reward(s, a, sp) + rho * values[sp])
-                    for sp, p in mdp.transitions[(s, a)].items()
-                )
+            for outcomes in actions:
+                q = sum(p * (r + rho * v[j]) for p, r, j in outcomes)
                 if q > best:
                     best = q
-            new_values[s] = best
-            residual = max(residual, abs(best - values[s]))
-        values = new_values
+            new_v[i] = best
+            residual = max(residual, abs(best - v[i]))
+        v = new_v
         if residual < tol:
             break
-    q = _q_from_values(mdp, values, rho)
+    values: Dict[State, float] = dict(zip(mdp.states, v))
+    q_values: Dict[Tuple[State, Action], float] = {
+        sa: sum(p * (r + rho * v[j]) for p, r, j in outcomes)
+        for sa, outcomes in edges
+    }
     policy: Dict[State, Action] = {}
     for s in mdp.states:
         acts = mdp.available_actions(s)
         if acts:
-            policy[s] = max(acts, key=lambda a: q[(s, a)])
-    return Solution(values, q, policy, it, residual)
+            policy[s] = max(acts, key=lambda a: q_values[(s, a)])
+    return Solution(values, q_values, policy, it, residual)
 
 
 def policy_evaluation(

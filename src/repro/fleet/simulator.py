@@ -685,24 +685,24 @@ class FleetSimulator:
         st = self.state
         n = self.n
 
-        samples: List[List[Tuple[float, float, float, float, float]]] = \
-            [[] for _ in range(n)]
-        for sel, t, soc, cpu, pw, vv in self._snapshots:
-            for k in range(len(sel)):
-                r = int(sel[k])
-                samples[r].append((float(t[k]), float(soc[k]),
-                                   float(cpu[k]), float(pw[k]),
-                                   float(vv[k])))
+        # Snapshots are chronological and hold each row at most once,
+        # so a stable sort by row leaves every row's samples in time
+        # order: the same sequence the scalar engine records one by one.
+        rows, *columns = ([np.concatenate(col)
+                           for col in zip(*self._snapshots)]
+                          or [np.empty(0)] * 6)
+        order = np.argsort(rows, kind="stable")
+        t, soc, cpu, pw, vv = (col[order] for col in columns)
+        bounds = np.searchsorted(rows[order], np.arange(n + 1))
 
         out: List[DischargeResult] = []
         for i, dev in enumerate(self.spec.devices):
             metrics = MetricsRecorder()
-            record = metrics.record
-            for t, soc, cpu, pw, vv in samples[i]:
-                record("soc", t, soc)
-                record("cpu_temp_c", t, cpu)
-                record("power_w", t, pw)
-                record("voltage_v", t, vv)
+            rs = slice(bounds[i], bounds[i + 1])
+            metrics.record_many("soc", t[rs], soc[rs])
+            metrics.record_many("cpu_temp_c", t[rs], cpu[rs])
+            metrics.record_many("power_w", t[rs], pw[rs])
+            metrics.record_many("voltage_v", t[rs], vv[rs])
             out.append(DischargeResult(
                 policy_name=self.policies[i].name,
                 workload_name=dev.trace.name,

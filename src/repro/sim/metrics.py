@@ -71,12 +71,42 @@ class TimeSeries:
         self._v[n] = v
         n += 1
         if n > self.max_points:
-            # In-place strided copy == list[::2]: keeps even indices.
-            m = (n + 1) // 2
-            self._t[:m] = self._t[:n:2]
-            self._v[:m] = self._v[:n:2]
-            n = m
+            n = self._halve(n)
         self._n = n
+
+    def extend(self, times, values) -> None:
+        """Add samples in order; equal to ``append`` on each pair.
+
+        Copies in chunks that fill the buffer up to its headroom slot,
+        decimating after each full chunk exactly where the per-sample
+        ``append`` would, so a call may cross the cap any number of
+        times.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if times.shape != values.shape or times.ndim != 1:
+            raise ValueError("times and values must be equal-length 1-D")
+        n, cap = self._n, self.max_points
+        start, total = 0, len(times)
+        while start < total:
+            k = min(cap + 1 - n, total - start)
+            self._t[n:n + k] = times[start:start + k]
+            self._v[n:n + k] = values[start:start + k]
+            n += k
+            start += k
+            if n > cap:
+                n = self._halve(n)
+        self._n = n
+
+    def _halve(self, n: int) -> int:
+        """Keep samples 0, 2, 4, ... of the first ``n``; return the count.
+
+        An in-place strided copy, equal to ``list[::2]``.
+        """
+        m = (n + 1) // 2
+        self._t[:m] = self._t[:n:2]
+        self._v[:m] = self._v[:n:2]
+        return m
 
     def __len__(self) -> int:
         return self._n
@@ -164,6 +194,18 @@ class MetricsRecorder:
             series = TimeSeries(self._max_points)
             self._series[name] = series
         series.append(t, value)
+
+    def record_many(self, name: str, times, values) -> None:
+        """Append samples to a named series; equal to ``record`` on each.
+
+        An empty batch creates no series, as zero ``record`` calls would.
+        """
+        series = self._series.get(name)
+        if series is None:
+            series = TimeSeries(self._max_points)
+        series.extend(times, values)
+        if len(series):
+            self._series[name] = series
 
     def bump(self, name: str, amount: float = 1.0) -> None:
         """Increment a counter."""

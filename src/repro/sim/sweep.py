@@ -271,36 +271,42 @@ def cell_keys(cells: Sequence[ScenarioCell],
     """Content-hash cache keys for a batch of cells (index-independent).
 
     A grid shares one policy, trace and profile object across many
-    cells, so each axis object is canonicalised once per call, memoised
-    by identity.  The memo lives only for this call: a caller that
-    mutates a policy between calls gets a fresh key, never a stale one.
-    The memo pins every object it saw, so an ``id`` cannot be reused
-    by a new object while the call runs.
+    cells, so each axis object's ``repr(_canonical(obj))`` is built
+    once per call, memoised by identity.  A cell's hash input joins
+    those strings and the ``repr`` of its scalar fields as
+    ``"(" + ", ".join(parts) + ")"``: exactly the ``repr`` of its
+    canonical 10-tuple ``(salt, kind, control_dt, ambient_c,
+    max_duration_s, record_every, policy, trace, profile, extra)``.
+    The memo lives only for this call: a caller that mutates a policy
+    between calls gets a fresh key, never a stale one.  The memo pins
+    every object it saw, so an ``id`` cannot be reused by a new object
+    while the call runs.
     """
     salt = salt if salt is not None else code_salt()
-    memo: Dict[int, Tuple[Any, Any]] = {}
+    memo: Dict[int, Tuple[Any, str]] = {}
 
-    def canonical(obj: Any) -> Any:
+    def canonical_repr(obj: Any) -> str:
         hit = memo.get(id(obj))
         if hit is None:
-            hit = memo[id(obj)] = (obj, _canonical(obj))
+            hit = memo[id(obj)] = (obj, repr(_canonical(obj)))
         return hit[1]
 
+    salt_repr = repr(salt)
     keys: List[str] = []
     for cell in cells:
-        payload = (
-            salt,
-            cell.kind,
-            cell.control_dt,
-            cell.ambient_c,
-            cell.max_duration_s,
-            cell.record_every,
-            canonical(cell.policy),
-            canonical(cell.trace),
-            canonical(cell.profile),
-            _canonical(dict(cell.extra)),
-        )
-        keys.append(hashlib.sha256(repr(payload).encode()).hexdigest())
+        text = "(" + ", ".join((
+            salt_repr,
+            repr(cell.kind),
+            repr(cell.control_dt),
+            repr(cell.ambient_c),
+            repr(cell.max_duration_s),
+            repr(cell.record_every),
+            canonical_repr(cell.policy),
+            canonical_repr(cell.trace),
+            canonical_repr(cell.profile),
+            repr(_canonical(dict(cell.extra))),
+        )) + ")"
+        keys.append(hashlib.sha256(text.encode()).hexdigest())
     return keys
 
 

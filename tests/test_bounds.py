@@ -2,14 +2,16 @@
 
 With ``C_S = 1`` and ``C_A = rho`` the converged structural distance
 must dominate optimal value differences scaled by ``1 - rho``.  These
-tests check the bound pairwise on random MDPs -- the library's
-executable version of the paper's Section III-D proof.
+tests check the bound pairwise on random MDPs and on the decision MDPs
+CAPMAN's profiler builds during real cells -- the library's executable
+version of the paper's Section III-D proof.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decision_mdps import decision_mdps
 from repro.core.bounds import (
     competitiveness_factor,
     value_difference_bound,
@@ -24,6 +26,10 @@ from repro.core.solver import value_iteration
 
 def _check(seed: int, rho: float, n_states: int = 6, n_actions: int = 2):
     mdp = random_mdp(n_states, n_actions, branching=2, seed=seed, absorbing=1)
+    return _solve(mdp, rho)
+
+
+def _solve(mdp, rho: float):
     sol = value_iteration(mdp, rho=rho, tol=1e-10)
     sim = StructuralSimilarity(
         MDPGraph(mdp), c_s=1.0, c_a=max(rho, 1e-6), tol=1e-6, max_iter=200
@@ -72,6 +78,24 @@ class TestActionBound:
         mdp, sol, sim = _check(seed, rho)
         check = verify_action_bound(mdp, sol, sim, rho, tolerance=1e-3)
         assert check.holds, f"violated by {check.worst_gap} at {check.worst_pair}"
+
+
+class TestProfilerDecisionMdps:
+    """Eq. (10) on every MDP a CAPMAN cell builds on the benchmark's
+    trace kinds (``tests/decision_mdps.py``), not only on random ones."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])
+    def test_value_and_action_bounds_hold(self, rho):
+        mdps = decision_mdps()
+        assert len(mdps) >= 4
+        for label, build, mdp in mdps:
+            mdp, sol, sim = _solve(mdp, rho)
+            for verify in (verify_value_bound, verify_action_bound):
+                check = verify(mdp, sol, sim, rho, tolerance=1e-3)
+                assert check.pairs_checked > 0
+                assert check.holds, (
+                    f"{verify.__name__} on {label} build {build}: violated "
+                    f"by {check.worst_gap} at {check.worst_pair}")
 
 
 class TestBoundProperty:

@@ -1,6 +1,10 @@
 """Tests for metrics recording."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.metrics import MetricsRecorder, TimeSeries
 
@@ -129,3 +133,71 @@ class TestMetricsRecorder:
     def test_unknown_series_raises(self):
         with pytest.raises(KeyError):
             MetricsRecorder().series("none")
+
+
+# ----------------------------------------------------------------------
+# Bulk loading: extend / record_many == repeated append / record
+# ----------------------------------------------------------------------
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+#: Batches of (t, v) samples; empty batches included.  With a cap of
+#: 1-8 points, a batch of up to 40 samples crosses the cap mid-call,
+#: often more than once.
+_batches = st.lists(st.lists(st.tuples(_finite, _finite), max_size=40),
+                    min_size=1, max_size=6)
+
+
+def _columns(batch):
+    return [t for t, _ in batch], [v for _, v in batch]
+
+
+class TestBulkLoad:
+    @settings(max_examples=200, deadline=None)
+    @given(max_points=st.integers(1, 8), batches=_batches)
+    def test_extend_equals_repeated_append(self, max_points, batches):
+        bulk, one = TimeSeries(max_points), TimeSeries(max_points)
+        for batch in batches:
+            bulk.extend(*_columns(batch))
+            for t, v in batch:
+                one.append(t, v)
+            assert pickle.dumps(bulk) == pickle.dumps(one)
+            assert len(bulk) <= max_points
+
+    @settings(max_examples=200, deadline=None)
+    @given(max_points=st.integers(1, 8),
+           batches=st.lists(st.tuples(st.sampled_from(["a", "b"]),
+                                      st.lists(st.tuples(_finite, _finite),
+                                               max_size=40)),
+                            min_size=1, max_size=6))
+    def test_record_many_equals_repeated_record(self, max_points, batches):
+        bulk, one = MetricsRecorder(max_points), MetricsRecorder(max_points)
+        for name, batch in batches:
+            bulk.record_many(name, *_columns(batch))
+            for t, v in batch:
+                one.record(name, t, v)
+            assert pickle.dumps(bulk) == pickle.dumps(one)
+
+    def test_extend_crossing_cap_twice_in_one_call(self):
+        bulk, one = TimeSeries(max_points=3), TimeSeries(max_points=3)
+        samples = [(float(i), float(-i)) for i in range(10)]
+        bulk.append(*samples[0])
+        one.append(*samples[0])
+        bulk.extend(*_columns(samples[1:]))
+        for t, v in samples[1:]:
+            one.append(t, v)
+        # Four decimations inside the one extend call.
+        assert list(bulk.times) == list(one.times) == [0.0, 8.0]
+        assert pickle.dumps(bulk) == pickle.dumps(one)
+
+    def test_empty_record_many_creates_no_series(self):
+        m = MetricsRecorder()
+        m.record_many("soc", [], [])
+        assert not m.has_series("soc")
+        assert pickle.dumps(m) == pickle.dumps(MetricsRecorder())
+
+    def test_extend_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError):
+            TimeSeries().extend([0.0, 1.0], [0.0])
+        m = MetricsRecorder()
+        with pytest.raises(ValueError):
+            m.record_many("soc", [0.0], [])
+        assert not m.has_series("soc")

@@ -1,5 +1,6 @@
 """Tests for the parallel scenario-sweep engine."""
 
+import hashlib
 import os
 import pickle
 import signal
@@ -19,8 +20,10 @@ from repro.sim.sweep import (
     ScenarioRunner,
     SweepCache,
     SweepSpec,
+    _canonical,
     cell_key,
     cell_keys,
+    code_salt,
 )
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -114,6 +117,49 @@ class TestSpec:
         assert cell_keys(cells, salt="s") == [
             cell_key(c, salt="s") for c in cells]
         assert cell_keys(cells) == [cell_key(c) for c in cells]
+
+    def test_keys_pinned_to_canonical_tuple_repr(self, trace):
+        """Keys and job ids equal the hash of the canonical 10-tuple's
+        ``repr``, so cache entries, WAL ``cell_start`` keys and job ids
+        survive a change to how that ``repr`` is assembled."""
+        from repro.service import job_id_for
+
+        def reference_key(cell, salt):
+            payload = (salt, cell.kind, cell.control_dt, cell.ambient_c,
+                       cell.max_duration_s, cell.record_every,
+                       _canonical(cell.policy), _canonical(cell.trace),
+                       _canonical(cell.profile),
+                       _canonical(dict(cell.extra)))
+            return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+        def reference_job_id(spec, salt):
+            digest = hashlib.sha256(spec.kind.encode())
+            for key in sorted(reference_key(c, salt) for c in spec.expand()):
+                digest.update(key.encode())
+            return digest.hexdigest()[:32]
+
+        twin = record_trace(VideoWorkload(seed=5), 120.0)
+        shared = DualPolicy(capacity_mah=40.0)
+        discharge = _spec(
+            trace,
+            policies={"Dual": shared, "Dual-again": shared,
+                      "Dual-twin": DualPolicy(capacity_mah=40.0),
+                      "Practice": PracticePolicy(capacity_mah=80.0),
+                      "CAPMAN": CapmanPolicy(capacity_mah=40.0)},
+            traces={"Video": trace, "Video-twin": twin},
+            profiles={"Nexus": NEXUS, "Honor": HONOR},
+            control_dts=(1.0, 2.0), ambients_c=(25.0, 35.0),
+            record_every=3)
+        daily = _spec(trace, kind="daily", max_duration_s=6 * 3600.0,
+                      extra={"n_days": 2,
+                             "aging": AgingModel(rate_stress_weight=2.0)})
+        cells = discharge.expand() + daily.expand()
+        assert any(c.kind == "daily" and c.extra for c in cells)
+        for salt in ("s", code_salt()):
+            assert cell_keys(cells, salt) == [reference_key(c, salt)
+                                              for c in cells]
+            for spec in (discharge, daily):
+                assert job_id_for(spec, salt) == reference_job_id(spec, salt)
 
     def test_batched_keys_see_mutation_between_calls(self, trace):
         policy = DualPolicy(capacity_mah=40.0)
