@@ -4,7 +4,7 @@ Runs a small Dual-policy grid twice -- cold serial in-process, then
 submitted as JSON to an in-process :class:`CapmanService` over real
 HTTP and polled to completion -- and merges a ``"service"`` section
 into ``BENCH_sim.json`` for ``scripts/bench_gate.py`` (alongside the
-sweep, fleet and distributed sections).
+sweep and fleet sections).
 
 The point is not a speedup figure: on a grid this small the HTTP
 round-trips, journalling and status polling dominate.  The section
@@ -79,7 +79,7 @@ def _measure(tmp_path):
     serial_wall = time.perf_counter() - t0
 
     root = tmp_path / "service-bench"
-    service = CapmanService(root, cell_workers=1, job_runners=1).start()
+    service = CapmanService(root, job_runners=1).start()
     try:
         host, port = service.address
         base = f"http://{host}:{port}"
@@ -116,7 +116,6 @@ def _measure(tmp_path):
 
 def test_service_throughput(benchmark, tmp_path, monkeypatch):
     monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
-    monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
     (spec, serial, serial_wall, served, service_wall, submit_latency,
      status, deduped, journal) = benchmark.pedantic(
         lambda: _measure(tmp_path), rounds=1, iterations=1)

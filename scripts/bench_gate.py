@@ -3,11 +3,11 @@
 
 Compares a freshly produced ``BENCH_sim.json`` (written by
 ``benchmarks/test_sim_throughput.py``,
-``benchmarks/test_fleet_throughput.py``,
-``benchmarks/test_dist_throughput.py`` and
+``benchmarks/test_fleet_throughput.py`` and
 ``benchmarks/test_service_throughput.py``) against the committed baseline
 ``benchmarks/baselines/BENCH_sim.baseline.json`` and fails -- nonzero
-exit, for CI -- on regression:
+exit, for CI -- on regression.  Every section is gated by the same
+three rules, driven by one table (:data:`SECTIONS`):
 
 * **Deterministic fields match exactly.**  The grid identity, the
   serial run's step/cell accounting (``steps_total``, ``cells_total``,
@@ -15,36 +15,32 @@ exit, for CI -- on regression:
   ``steps_total``, ``fallback_steps``, and for the CAPMAN leg also
   ``adapter_rows``) are machine-independent; any drift means a
   benchmark is no longer measuring the same work and the baseline must
-  be consciously regenerated, not silently absorbed.  The distributed
-  backend's section additionally pins its robustness invariants --
-  ``lost_cells`` and ``double_commits`` are exact-zero in the
-  baseline, so any lost or double-committed cell fails the gate as a
-  correctness regression, not a perf one.  The service section does
-  the same for its HTTP job path (``failed_cells``,
-  ``double_commits``) and pins content-hash dedupe
+  be consciously regenerated, not silently absorbed.  The service
+  section pins its HTTP job path's robustness invariants --
+  ``failed_cells`` and ``double_commits`` are exact-zero in the
+  baseline, so any failed or double-committed cell fails the gate as a
+  correctness regression, not a perf one -- and content-hash dedupe
   (``deduped_jobs``).
-* **Throughput holds within a tolerance.**  The serial
-  ``steps_per_sec`` and each fleet leg's ``device_steps_per_sec`` must
-  stay above ``tolerance x baseline`` (default 0.5x, i.e. flag a 2x
-  slowdown; CI machines are noisy, real hot-loop regressions are much
-  bigger than that).  Override with ``--tolerance`` or the
+* **Throughput holds within a tolerance.**  Each section's rate field
+  must stay above ``tolerance x baseline`` (default 0.5x, i.e. flag a
+  2x slowdown; CI machines are noisy, real hot-loop regressions are
+  much bigger than that).  Override with ``--tolerance`` or the
   ``CAPMAN_BENCH_TOLERANCE`` env var.
-* **The fleet speedup floors are absolute.**  Each leg's ``speedup``
-  (batched vs serial device-steps/s, both timed on the same host)
-  must stay at or above its floor -- ``FLEET_MIN_SPEEDUP`` for the
-  Dual leg, ``CAPMAN_FLEET_MIN_SPEEDUP`` for the CAPMAN leg --
-  regardless of tolerance: these are the PR-acceptance ratios, not
-  machine-dependent rates.
+* **The fleet speedup floors are absolute.**  Each fleet leg's
+  ``speedup`` (batched vs serial device-steps/s, both timed on the
+  same host) must stay at or above its floor -- 50x for the Dual leg,
+  20x for the CAPMAN leg -- regardless of tolerance: these are the
+  acceptance ratios, not machine-dependent rates.
 
-A payload may carry either section alone (each benchmark merges its
-own section into ``BENCH_sim.json``); only sections present in the
+A payload may carry any subset of the sections (each benchmark merges
+its own section into ``BENCH_sim.json``); only sections present in the
 fresh payload are gated, and only gated sections land in the baseline.
 
 Regenerate the baseline after an intentional change with::
 
     python -m pytest benchmarks/test_sim_throughput.py \
         benchmarks/test_fleet_throughput.py \
-        benchmarks/test_dist_throughput.py --benchmark-only -x -q -s
+        benchmarks/test_service_throughput.py --benchmark-only -x -q -s
     python scripts/bench_gate.py --write-baseline
 """
 
@@ -54,53 +50,76 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 FRESH_PATH = REPO / "BENCH_sim.json"
 BASELINE_PATH = REPO / "benchmarks" / "baselines" / "BENCH_sim.baseline.json"
 
-#: Fraction of the baseline serial steps/sec the fresh run must hold.
+#: Fraction of each baseline rate the fresh run must hold.
 DEFAULT_TOLERANCE = 0.5
 
-#: Machine-independent serial-run fields gated by exact equality.
-EXACT_SERIAL_FIELDS = ("steps_total", "cells_total", "cells_computed",
-                      "cells_failed")
 
-#: Machine-independent fleet-run fields gated by exact equality.
-EXACT_FLEET_FIELDS = ("batch", "steps_total", "fallback_steps")
+@dataclass(frozen=True)
+class Section:
+    """How one ``BENCH_sim.json`` section is gated."""
 
-#: The CAPMAN leg additionally pins its driver mix: every row must
-#: ride the compiled-table vector driver, none the scalar adapter.
-EXACT_CAPMAN_FLEET_FIELDS = EXACT_FLEET_FIELDS + ("adapter_rows",)
+    #: Key of the section in the payload.
+    name: str
+    #: Machine-independent fields gated by exact equality.
+    exact: Tuple[str, ...]
+    #: Throughput field gated relative to the baseline (higher is better).
+    rate: str
+    #: Absolute floor on the section's ``speedup`` field, if it has one.
+    min_speedup: Optional[float] = None
+    #: Fields kept at the payload's top level instead of inside the
+    #: section (the serial sweep's layout predates this table).
+    hoisted: Tuple[str, ...] = ()
 
-#: Absolute floor on the Dual fleet's batched-vs-serial rate ratio.
-FLEET_MIN_SPEEDUP = 50.0
+    @property
+    def gated(self) -> Tuple[str, ...]:
+        speedup = ("speedup",) if self.min_speedup is not None else ()
+        return self.exact + (self.rate,) + speedup
 
-#: Absolute floor for the CAPMAN leg (the PR-acceptance ratio: >= 20x
-#: at batch >= 1024 with the full learning path priced in).
-CAPMAN_FLEET_MIN_SPEEDUP = 20.0
+    def fields(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """This section's gated fields, flat, from a fresh or gated payload."""
+        leg = payload[self.name]
+        return {name: (payload[name]
+                       if name in self.hoisted and name not in leg
+                       else leg[name])
+                for name in self.gated}
 
-#: Fleet-shaped sections: name -> (exact fields, absolute speedup floor).
-FLEET_SECTIONS = {
-    "fleet": (EXACT_FLEET_FIELDS, FLEET_MIN_SPEEDUP),
-    "capman_fleet": (EXACT_CAPMAN_FLEET_FIELDS, CAPMAN_FLEET_MIN_SPEEDUP),
-}
+    def store(self, gated: Dict[str, Any], fields: Dict[str, Any]) -> None:
+        """Write flat ``fields`` into a gated payload in baseline layout."""
+        gated[self.name] = {name: value for name, value in fields.items()
+                            if name not in self.hoisted}
+        for name in self.hoisted:
+            gated[name] = fields[name]
 
-#: Machine-independent distributed-backend fields gated by exact
-#: equality.  ``lost_cells`` and ``double_commits`` are 0 in any sane
-#: baseline, so this doubles as a correctness gate on exactly-once
-#: commit accounting.
-EXACT_DIST_FIELDS = ("cells_total", "steps_total", "workers",
-                     "lost_cells", "double_commits")
 
-#: Machine-independent service fields gated by exact equality.
-#: ``failed_cells``/``double_commits`` are exact-zero correctness
-#: pins; ``deduped_jobs`` pins that an identical resubmission stayed a
-#: pure content-hash dedupe.
-EXACT_SERVICE_FIELDS = ("cells_total", "steps_total", "deduped_jobs",
-                        "failed_cells", "double_commits")
+_FLEET_EXACT = ("batch", "steps_total", "fallback_steps")
+
+#: Every gated section.  The CAPMAN fleet leg also pins its driver mix
+#: (every row on the compiled-table vector driver, none on the scalar
+#: adapter); the service's ``failed_cells``/``double_commits`` are
+#: exact-zero correctness pins and ``deduped_jobs`` pins that an
+#: identical resubmission stayed a pure content-hash dedupe.
+SECTIONS = (
+    Section("serial",
+            exact=("grid", "steps_total", "cells_total", "cells_computed",
+                   "cells_failed"),
+            rate="steps_per_sec", hoisted=("grid", "steps_per_sec")),
+    Section("fleet", exact=_FLEET_EXACT, rate="device_steps_per_sec",
+            min_speedup=50.0),
+    Section("capman_fleet", exact=_FLEET_EXACT + ("adapter_rows",),
+            rate="device_steps_per_sec", min_speedup=20.0),
+    Section("service",
+            exact=("cells_total", "steps_total", "deduped_jobs",
+                   "failed_cells", "double_commits"),
+            rate="steps_per_sec"),
+)
 
 
 def extract_gated(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -108,40 +127,17 @@ def extract_gated(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Only this subset lands in the baseline file, so the committed
     baseline never churns on machine-dependent noise (wall times,
-    cpu_count, parallel speedups).  Each section (``serial`` sweep,
-    ``fleet`` batch) is optional; at least one must be present.
+    cpu_count, parallel speedups).  Each section is optional; at least
+    one must be present.
     """
     gated: Dict[str, Any] = {}
-    if "serial" in payload:
-        serial = payload["serial"]
-        gated["grid"] = payload["grid"]
-        gated["serial"] = {name: serial[name]
-                           for name in EXACT_SERIAL_FIELDS}
-        gated["steps_per_sec"] = serial["steps_per_sec"]
-    for section, (exact_fields, _) in FLEET_SECTIONS.items():
-        if section in payload:
-            leg = payload[section]
-            gated[section] = {
-                **{name: leg[name] for name in exact_fields},
-                "device_steps_per_sec": leg["device_steps_per_sec"],
-                "speedup": leg["speedup"],
-            }
-    if "distributed" in payload:
-        leg = payload["distributed"]
-        gated["distributed"] = {
-            **{name: leg[name] for name in EXACT_DIST_FIELDS},
-            "steps_per_sec": leg["steps_per_sec"],
-        }
-    if "service" in payload:
-        leg = payload["service"]
-        gated["service"] = {
-            **{name: leg[name] for name in EXACT_SERVICE_FIELDS},
-            "steps_per_sec": leg["steps_per_sec"],
-        }
+    for section in SECTIONS:
+        if section.name in payload:
+            section.store(gated, section.fields(payload))
     if not gated:
-        raise KeyError("payload has no 'serial', 'fleet', 'capman_fleet', "
-                       "'distributed' or 'service' section; run the "
-                       "throughput benchmarks first")
+        names = ", ".join(repr(section.name) for section in SECTIONS)
+        raise KeyError(f"payload has none of the sections {names}; run "
+                       f"the throughput benchmarks first")
     return gated
 
 
@@ -155,106 +151,35 @@ def compare(fresh: Dict[str, Any], baseline: Dict[str, Any],
     baseline consciously.
     """
     problems: List[str] = []
-    if "serial" in fresh:
-        if "serial" not in baseline:
-            problems.append("fresh payload has a serial section but the "
-                            "baseline does not; regenerate the baseline "
-                            "with --write-baseline")
-        else:
-            if fresh["grid"] != baseline["grid"]:
-                problems.append(
-                    f"grid identity changed:\n"
-                    f"  baseline: {baseline['grid']}\n"
-                    f"  fresh:    {fresh['grid']}")
-            for name in EXACT_SERIAL_FIELDS:
-                got, want = fresh["serial"][name], baseline["serial"][name]
-                if got != want:
-                    problems.append(
-                        f"serial.{name}: expected exactly {want}, got {got} "
-                        f"(deterministic field -- the benchmark's work "
-                        f"changed)")
-            floor = tolerance * baseline["steps_per_sec"]
-            if fresh["steps_per_sec"] < floor:
-                problems.append(
-                    f"throughput regression: serial steps_per_sec "
-                    f"{fresh['steps_per_sec']:.0f} < {floor:.0f} "
-                    f"({tolerance:g} x baseline "
-                    f"{baseline['steps_per_sec']:.0f})")
-    for section, (exact_fields, min_speedup) in FLEET_SECTIONS.items():
-        if section not in fresh:
+    for section in SECTIONS:
+        name = section.name
+        if name not in fresh:
             continue
-        if section not in baseline:
-            problems.append(f"fresh payload has a {section} section but "
-                            f"the baseline does not; regenerate the "
-                            f"baseline with --write-baseline")
+        got = section.fields(fresh)
+        if name not in baseline:
+            problems.append(f"fresh payload has a {name} section but the "
+                            f"baseline does not; regenerate the baseline "
+                            f"with --write-baseline")
         else:
-            for name in exact_fields:
-                got, want = fresh[section][name], baseline[section][name]
-                if got != want:
+            want = section.fields(baseline)
+            for field in section.exact:
+                if got[field] != want[field]:
                     problems.append(
-                        f"{section}.{name}: expected exactly {want}, got "
-                        f"{got} (deterministic field -- the benchmark's "
-                        f"work changed)")
-            floor = tolerance * baseline[section]["device_steps_per_sec"]
-            if fresh[section]["device_steps_per_sec"] < floor:
+                        f"{name}.{field}: expected exactly {want[field]}, "
+                        f"got {got[field]} (deterministic field -- the "
+                        f"benchmark's work changed)")
+            floor = tolerance * want[section.rate]
+            if got[section.rate] < floor:
                 problems.append(
-                    f"throughput regression: {section} "
-                    f"device_steps_per_sec "
-                    f"{fresh[section]['device_steps_per_sec']:.0f} < "
-                    f"{floor:.0f} ({tolerance:g} x baseline "
-                    f"{baseline[section]['device_steps_per_sec']:.0f})")
-        if fresh[section]["speedup"] < min_speedup:
+                    f"throughput regression: {name} {section.rate} "
+                    f"{got[section.rate]:.0f} < {floor:.0f} "
+                    f"({tolerance:g} x baseline {want[section.rate]:.0f})")
+        if (section.min_speedup is not None
+                and got["speedup"] < section.min_speedup):
             problems.append(
-                f"{section} speedup collapse: "
-                f"{fresh[section]['speedup']:.1f}x < required "
-                f"{min_speedup:g}x over the serial scalar loop "
-                f"(absolute floor, tolerance does not apply)")
-    if "distributed" in fresh:
-        if "distributed" not in baseline:
-            problems.append("fresh payload has a distributed section but "
-                            "the baseline does not; regenerate the "
-                            "baseline with --write-baseline")
-        else:
-            for name in EXACT_DIST_FIELDS:
-                got = fresh["distributed"][name]
-                want = baseline["distributed"][name]
-                if got != want:
-                    problems.append(
-                        f"distributed.{name}: expected exactly {want}, "
-                        f"got {got} (deterministic field -- "
-                        f"exactly-once accounting or the benchmark's "
-                        f"work changed)")
-            floor = tolerance * baseline["distributed"]["steps_per_sec"]
-            if fresh["distributed"]["steps_per_sec"] < floor:
-                problems.append(
-                    f"throughput regression: distributed steps_per_sec "
-                    f"{fresh['distributed']['steps_per_sec']:.0f} < "
-                    f"{floor:.0f} ({tolerance:g} x baseline "
-                    f"{baseline['distributed']['steps_per_sec']:.0f}) "
-                    f"-- lease/framing overhead grew")
-    if "service" in fresh:
-        if "service" not in baseline:
-            problems.append("fresh payload has a service section but "
-                            "the baseline does not; regenerate the "
-                            "baseline with --write-baseline")
-        else:
-            for name in EXACT_SERVICE_FIELDS:
-                got = fresh["service"][name]
-                want = baseline["service"][name]
-                if got != want:
-                    problems.append(
-                        f"service.{name}: expected exactly {want}, "
-                        f"got {got} (deterministic field -- dedupe, "
-                        f"exactly-once accounting or the benchmark's "
-                        f"work changed)")
-            floor = tolerance * baseline["service"]["steps_per_sec"]
-            if fresh["service"]["steps_per_sec"] < floor:
-                problems.append(
-                    f"throughput regression: service steps_per_sec "
-                    f"{fresh['service']['steps_per_sec']:.0f} < "
-                    f"{floor:.0f} ({tolerance:g} x baseline "
-                    f"{baseline['service']['steps_per_sec']:.0f}) "
-                    f"-- HTTP/WAL/poll overhead grew")
+                f"{name} speedup collapse: {got['speedup']:.1f}x < "
+                f"required {section.min_speedup:g}x over the serial "
+                f"scalar loop (absolute floor, tolerance does not apply)")
     return problems
 
 
@@ -303,30 +228,13 @@ def main(argv: List[str]) -> int:
             print(f"  - {p}", file=sys.stderr)
         return 1
     summary = []
-    if "serial" in fresh:
-        summary.append(
-            f"serial steps_total={fresh['serial']['steps_total']} "
-            f"steps_per_sec={fresh['steps_per_sec']:.0f}")
-    for section in FLEET_SECTIONS:
-        if section in fresh:
-            summary.append(
-                f"{section} batch={fresh[section]['batch']} "
-                f"device_steps_per_sec="
-                f"{fresh[section]['device_steps_per_sec']:.0f} "
-                f"speedup={fresh[section]['speedup']:.1f}x")
-    if "distributed" in fresh:
-        summary.append(
-            f"distributed cells={fresh['distributed']['cells_total']} "
-            f"steps_per_sec={fresh['distributed']['steps_per_sec']:.0f} "
-            f"lost={fresh['distributed']['lost_cells']} "
-            f"double_commits={fresh['distributed']['double_commits']}")
-    if "service" in fresh:
-        summary.append(
-            f"service cells={fresh['service']['cells_total']} "
-            f"steps_per_sec={fresh['service']['steps_per_sec']:.0f} "
-            f"deduped={fresh['service']['deduped_jobs']} "
-            f"failed={fresh['service']['failed_cells']} "
-            f"double_commits={fresh['service']['double_commits']}")
+    for section in SECTIONS:
+        if section.name in fresh:
+            fields = section.fields(fresh)
+            line = f"{section.name} {section.rate}={fields[section.rate]:.0f}"
+            if section.min_speedup is not None:
+                line += f" speedup={fields['speedup']:.1f}x"
+            summary.append(line)
     print(f"bench gate: OK ({'; '.join(summary)}; "
           f"tolerance {args.tolerance:g})")
     return 0

@@ -83,7 +83,6 @@ def _spawn(root: Path) -> subprocess.Popen:
     env["PYTHONPATH"] = str(_REPO / "src") + os.pathsep \
         + env.get("PYTHONPATH", "")
     env.pop("CAPMAN_DIST_SECRET", None)
-    env.pop("CAPMAN_DIST_WORKERS", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.service", "--root", str(root),
          "--job-runners", "1"],

@@ -73,10 +73,10 @@ class RunJournal:
             _truncate(self.path, good_bytes)
         self._seq = records[-1]["seq"] + 1 if records else 0
         self._fh = self.path.open("a", encoding="utf-8")
-        # Appends are serialised: the distributed coordinator journals
-        # lease grants from connection-handler threads while the runner
-        # thread journals commits, and interleaved writes would tear
-        # both records.
+        # Appends are serialised: the service's job WAL is appended
+        # from HTTP handler threads (submissions) and job-runner
+        # threads (completions) at once, and interleaved writes would
+        # tear both records.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------

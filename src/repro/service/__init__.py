@@ -12,7 +12,7 @@ Run one with ``python -m repro.service --root /var/lib/capman``.
 """
 
 from .app import AUTH_ENV, CapmanService, ServiceMetrics
-from .jobs import DIST_WORKERS_ENV, Job, JobStore, job_id_for
+from .jobs import Job, JobStore, job_id_for
 from .schemas import (ApiError, MAX_GRID_CELLS, POLICY_TYPES,
                       WORKLOAD_TYPES, parse_spec)
 
@@ -20,7 +20,6 @@ __all__ = [
     "ApiError",
     "AUTH_ENV",
     "CapmanService",
-    "DIST_WORKERS_ENV",
     "Job",
     "JobStore",
     "MAX_GRID_CELLS",

@@ -5,7 +5,8 @@ socket is bound, so wrappers -- the smoke script, the crash-safety
 tests -- can scrape the ephemeral port and then SIGKILL the process
 whenever they please: all durability lives in the WAL under
 ``--root``, and a restart with the same root resumes every unfinished
-job without recomputing a committed cell.
+job without recomputing a committed cell.  Jobs run inside this
+process: ``--job-runners`` threads, each driving one sweep at a time.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="bind port (0 = ephemeral)")
-    parser.add_argument("--cell-workers", type=int, default=1,
-                        help="worker processes per sweep "
-                             "(CAPMAN_DIST_WORKERS overrides the backend)")
     parser.add_argument("--job-runners", type=int, default=2,
                         help="concurrent jobs")
     parser.add_argument("--max-body-bytes", type=int,
@@ -37,7 +35,7 @@ def main(argv=None) -> int:
 
     service = CapmanService(
         root=args.root, host=args.host, port=args.port,
-        cell_workers=args.cell_workers, job_runners=args.job_runners,
+        job_runners=args.job_runners,
         max_body_bytes=args.max_body_bytes)
     host, port = service.address
     print(f"listening on http://{host}:{port}", flush=True)

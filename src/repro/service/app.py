@@ -1,8 +1,7 @@
 """The CAPMAN sweep service: stdlib HTTP over the durable job queue.
 
 ``ThreadingHTTPServer`` + a hand-rolled router -- one OS thread per
-connection, no runtime dependencies, consistent with the raw-TCP
-distributed backend next door.  The surface:
+connection, no runtime dependencies.  The surface:
 
 ========  ==========================  =======================================
 method    path                        purpose
@@ -15,7 +14,7 @@ GET       /metrics                    service registry + span aggregates
 GET       /healthz                    liveness (unauthenticated)
 ========  ==========================  =======================================
 
-Authentication reuses the distributed protocol's shared secret: when
+Authentication is a shared bearer secret: when
 ``CAPMAN_DIST_SECRET`` is set, every route except ``/healthz``
 requires ``Authorization: Bearer <secret>`` (constant-time compare).
 Every rejection -- bad token, malformed JSON, oversized body, unknown
@@ -33,6 +32,7 @@ from __future__ import annotations
 import base64
 import hmac
 import json
+import os
 import re
 import threading
 import time
@@ -42,7 +42,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from ..obs.export import registry_snapshot
 from ..obs.registry import MetricsRegistry
-from ..sim.distributed import SECRET_ENV, protocol_secret
 from .jobs import DONE, FAILED, JobStore
 from .schemas import ApiError, parse_spec
 
@@ -51,7 +50,24 @@ __all__ = ["CapmanService", "ServiceMetrics", "DEFAULT_MAX_BODY"]
 #: Request bodies above this are rejected with 413 before parsing.
 DEFAULT_MAX_BODY = 8 << 20
 
+#: Environment variable carrying the service's bearer secret.  The name
+#: predates the service and stays: it is a deployment credential, and
+#: renaming it would silently turn auth off on existing deployments.
+SECRET_ENV = "CAPMAN_DIST_SECRET"
+
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{32})(?:/(results|events))?$")
+
+
+def protocol_secret() -> Optional[bytes]:
+    """The bearer secret from ``CAPMAN_DIST_SECRET`` (or None).
+
+    Read fresh on every call so tests (and long-lived processes whose
+    environment is updated) see changes without re-importing.
+    """
+    value = os.environ.get(SECRET_ENV)
+    if not value:
+        return None
+    return value.encode("utf-8")
 
 
 class ServiceMetrics:
@@ -281,7 +297,6 @@ class CapmanService:
         root: Union[str, Path],
         host: str = "127.0.0.1",
         port: int = 0,
-        cell_workers: int = 1,
         job_runners: int = 2,
         max_body_bytes: int = DEFAULT_MAX_BODY,
         events_poll_s: float = 0.05,
@@ -291,8 +306,7 @@ class CapmanService:
         self.secret = protocol_secret()
         self.max_body_bytes = max_body_bytes
         self.events_poll_s = events_poll_s
-        self.store = JobStore(self.root, cell_workers=cell_workers,
-                              job_runners=job_runners,
+        self.store = JobStore(self.root, job_runners=job_runners,
                               metrics=self.metrics)
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True

@@ -19,9 +19,9 @@ spec" and "a sweep result exists":
   recomputing a single committed cell.
 
 * **Execution.**  Runner threads drain a FIFO queue and drive
-  :meth:`~repro.sim.sweep.ScenarioRunner.run_or_resume` -- the
-  :class:`~repro.sim.executors.LocalProcessExecutor` by default, or
-  the distributed TCP backend when ``CAPMAN_DIST_WORKERS`` is set.
+  :meth:`~repro.sim.sweep.ScenarioRunner.run_or_resume` in-process:
+  the fleet-supported cells run as one vectorised fleet batch, the
+  rest serially on the scalar engine.
 
 The store never touches the process-global observability session:
 request/queue metrics go to the service-owned registry handed in by
@@ -31,7 +31,6 @@ the app, keeping the repo's obs-off invisibility guarantees intact.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import queue
 import threading
@@ -42,19 +41,13 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..durability.journal import RunJournal, decode_blob, encode_blob
 from ..obs.tracer import Tracer
-from ..sim.executors import SweepExecutor
 # ``cell_key`` is imported for the per-layer tracer in benchmarks/perf,
 # which wraps it here; identities hash through the batched ``cell_keys``.
 from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,  # noqa: F401
                          cell_key, cell_keys, code_salt)
 from .schemas import ApiError
 
-__all__ = ["Job", "JobStore", "job_id_for", "DIST_WORKERS_ENV"]
-
-#: Set to a positive worker count to execute service jobs on the
-#: distributed TCP backend (spawned local worker subprocesses) instead
-#: of the in-process pool.
-DIST_WORKERS_ENV = "CAPMAN_DIST_WORKERS"
+__all__ = ["Job", "JobStore", "job_id_for"]
 
 #: Job lifecycle states (the service's state machine; see DESIGN §15).
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -101,13 +94,11 @@ class JobStore:
     def __init__(
         self,
         root: Union[str, Path],
-        cell_workers: int = 1,
         job_runners: int = 2,
         metrics: Any = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.cell_workers = max(1, cell_workers)
         self.cache = SweepCache(self.root / "cache")
         self.metrics = metrics
         self._salt = code_salt()
@@ -240,7 +231,7 @@ class JobStore:
         committed -- nothing recomputes)."""
         if job.result is not None:
             return job.result
-        runner = self._build_runner(job, executor=None)
+        runner = self._build_runner(job)
         result = runner.resume()
         with self._lock:
             if job.result is None:
@@ -251,28 +242,11 @@ class JobStore:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _executor(self) -> Optional[SweepExecutor]:
-        """A fresh per-job executor when the env asks for distribution."""
-        try:
-            n = int(os.environ.get(DIST_WORKERS_ENV, "0") or "0")
-        except ValueError:
-            n = 0
-        if n <= 0:
-            return None
-        from ..sim.distributed import DistributedExecutor
-
-        return DistributedExecutor(spawn_workers=n, lease_timeout_s=10.0)
-
-    def _build_runner(self, job: Job,
-                      executor: Optional[SweepExecutor]) -> ScenarioRunner:
+    def _build_runner(self, job: Job) -> ScenarioRunner:
         job_dir = self.root / "jobs" / job.job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        return ScenarioRunner(
-            workers=self.cell_workers,
-            cache=self.cache,
-            journal=job_dir / "run.journal",
-            executor=executor,
-        )
+        return ScenarioRunner(cache=self.cache,
+                              journal=job_dir / "run.journal")
 
     def _runner_loop(self) -> None:
         while True:
@@ -290,7 +264,7 @@ class JobStore:
         self._observe("job.queue_wait_s", queue_wait)
         self._merge_spans({"job.queue_wait": {
             "count": 1, "total_s": queue_wait, "max_s": queue_wait}})
-        runner = self._build_runner(job, executor=self._executor())
+        runner = self._build_runner(job)
         with self._lock:
             job.runner = runner
             job.state = RUNNING

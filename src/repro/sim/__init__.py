@@ -1,7 +1,9 @@
 """Simulation engine: control stepping, metrics, discharge cycles,
-multi-day discharge/charge/aging runs, the parallel scenario-sweep
-engine that drives the evaluation grids, and the chaos harness that
-crosses those grids with fault scenarios."""
+multi-day discharge/charge/aging runs, the scenario-sweep engine that
+drives the evaluation grids (one in-process path: a vectorised fleet
+batch first, the local process executor for the cells it rejects),
+and the chaos harness that crosses those grids with fault
+scenarios."""
 
 from .daily import DayRecord, MultiDayResult, run_days
 from .discharge import (
@@ -23,19 +25,14 @@ from .sweep import (
     SweepResult,
     SweepSpec,
 )
-from .executors import ExecutorHeartbeat, LocalProcessExecutor, SweepExecutor
-from .distributed import DistributedExecutor, SweepCoordinator, SweepWorker
-from .cache_server import CacheServer, NetworkSweepCache
+from .executors import LocalProcessExecutor, SweepExecutor
 
 # chaos depends on everything above; keep it last.
 from .chaos import (
-    BackendChaos,
-    BackendChaosReport,
     ChaosReport,
     ChaosRow,
     ChaosSpec,
     FaultScenario,
-    run_backend_chaos,
     run_chaos,
     standard_scenarios,
 )
@@ -62,16 +59,7 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SweepExecutor",
-    "ExecutorHeartbeat",
     "LocalProcessExecutor",
-    "DistributedExecutor",
-    "SweepCoordinator",
-    "SweepWorker",
-    "CacheServer",
-    "NetworkSweepCache",
-    "BackendChaos",
-    "BackendChaosReport",
-    "run_backend_chaos",
     "ChaosReport",
     "ChaosRow",
     "ChaosSpec",

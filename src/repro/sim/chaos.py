@@ -14,27 +14,16 @@ degraded-mode transitions and the structured fault-event counts.
 Determinism: scenarios are seeded fault schedules, so a chaos grid is
 exactly reproducible (and cacheable) like any other sweep.
 
-This module also hosts the **backend chaos** harness
-(:class:`BackendChaos` / :func:`run_backend_chaos`): where the fault
-scenarios above break the *simulated hardware*, backend chaos breaks
-the *sweep infrastructure itself* -- SIGKILLing distributed workers
-mid-cell, partitioning the networked cache server, duplicate-
-delivering leases -- and then audits the run journal to prove the
-robustness contract: the final :class:`~repro.sim.sweep.SweepResult`
-is byte-identical to a serial run, no cell is lost, and no cell is
-committed twice.
+:func:`journal_commit_counts` audits a run journal for the sweep
+engine's exactly-once contract: every cell is committed once.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import signal as signal_module
-import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..device.profiles import NEXUS, PhoneProfile
@@ -52,11 +41,7 @@ __all__ = [
     "ChaosRow",
     "ChaosReport",
     "run_chaos",
-    "BackendChaos",
-    "BackendChaosReport",
-    "run_backend_chaos",
     "journal_commit_counts",
-    "journal_lease_grants",
 ]
 
 #: Separator between policy and scenario in the sweep's policy keys.
@@ -285,59 +270,14 @@ def run_chaos(spec: ChaosSpec,
 
 
 # ----------------------------------------------------------------------
-# Backend chaos: break the infrastructure, audit the contract
+# Journal audit
 # ----------------------------------------------------------------------
-@dataclass
-class BackendChaos:
-    """Fault plan for one distributed sweep's *infrastructure*.
-
-    All timings are relative to the start of the chaotic run.  The
-    harness injects exactly this plan -- nothing is randomised -- so a
-    chaos run is as reproducible as any other test.
-    """
-
-    #: SIGKILL this many of the executor's spawned workers (oldest
-    #: first), ``kill_interval_s`` apart starting at ``kill_after_s``.
-    kill_workers: int = 0
-    kill_after_s: float = 0.3
-    kill_interval_s: float = 0.3
-    #: Partition the cache server this long in (None = never).
-    partition_cache_after_s: Optional[float] = None
-    #: Heal it this long in (None = stays partitioned to the end).
-    heal_cache_after_s: Optional[float] = None
-    #: Duplicate-deliver this many leases (idempotent-commit check).
-    duplicate_leases: int = 0
-
-
-@dataclass
-class BackendChaosReport:
-    """What the chaotic run produced, plus the audited invariants."""
-
-    result: SweepResult
-    #: Worker PIDs the harness actually SIGKILLed.
-    killed_pids: List[int] = field(default_factory=list)
-    #: Whether the cache server was partitioned (and healed) on plan.
-    cache_partitioned: bool = False
-    cache_healed: bool = False
-    #: Lease duplications injected into the coordinator.
-    duplicated_leases: int = 0
-    #: Result slots holding a CellFailure -- for a grid whose cells all
-    #: succeed deterministically, any entry here is a cell the
-    #: infrastructure lost.
-    lost_cells: int = 0
-    #: Journal indices with more than one cell_commit record (must be
-    #: zero: the coordinator's first-commit-wins dedupe guarantees it).
-    double_commits: int = 0
-    #: Coordinator counters (lease expiries, steals, retries, ...).
-    dist_stats: Dict[str, float] = field(default_factory=dict)
-
-
 def journal_commit_counts(path: Union[str, Path]) -> Dict[int, int]:
     """``cell_commit`` records per cell index in a run journal.
 
     The durability contract says every value is exactly 1 for a
-    completed sweep -- chaos (duplicate leases, stolen work, worker
-    loss) must never produce a second commit for the same cell.
+    completed sweep -- a crash, a resume or a retried cell must never
+    produce a second commit for the same cell.
     """
     counts: Dict[int, int] = {}
     for record in RunJournal.replay(path, recover=False):
@@ -346,136 +286,3 @@ def journal_commit_counts(path: Union[str, Path]) -> Dict[int, int]:
         index = int(record["data"]["index"])
         counts[index] = counts.get(index, 0) + 1
     return counts
-
-
-def journal_lease_grants(path: Union[str, Path],
-                         include_duplicates: bool = False) -> Dict[int, int]:
-    """``lease_grant`` records per cell index in a run journal.
-
-    The distributed coordinator journals every grant before the lease
-    leaves the process, so a grant count exceeding the commit count
-    for an index is exactly the dispatch state a restarted coordinator
-    must reclaim.  Steal/duplicate grants are flagged in the record
-    and excluded by default -- they do not charge the cell's failure
-    budget on recovery.
-    """
-    counts: Dict[int, int] = {}
-    for record in RunJournal.replay(path, recover=False):
-        if record["type"] != "lease_grant":
-            continue
-        data = record["data"]
-        if data.get("duplicate", False) and not include_duplicates:
-            continue
-        index = int(data["index"])
-        counts[index] = counts.get(index, 0) + 1
-    return counts
-
-
-class _BackendChaosMonkey(threading.Thread):
-    """Executes a :class:`BackendChaos` plan against a live sweep."""
-
-    def __init__(self, chaos: BackendChaos, executor: Any,
-                 cache_server: Any = None) -> None:
-        super().__init__(name="backend-chaos", daemon=True)
-        self.chaos = chaos
-        self.executor = executor
-        self.cache_server = cache_server
-        self.killed_pids: List[int] = []
-        self.cache_partitioned = False
-        self.cache_healed = False
-        # Named _halt: threading.Thread owns a private _stop() method.
-        self._halt = threading.Event()
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=10.0)
-
-    def run(self) -> None:
-        chaos = self.chaos
-        started = time.monotonic()
-        kills_left = chaos.kill_workers
-        next_kill = started + chaos.kill_after_s
-        partition_at = (started + chaos.partition_cache_after_s
-                        if chaos.partition_cache_after_s is not None
-                        else None)
-        heal_at = (started + chaos.heal_cache_after_s
-                   if chaos.heal_cache_after_s is not None else None)
-        while not self._halt.wait(0.02):
-            now = time.monotonic()
-            if kills_left > 0 and now >= next_kill:
-                if self._kill_one_worker():
-                    kills_left -= 1
-                    next_kill = now + chaos.kill_interval_s
-                # No live worker yet: retry on the next tick.
-            if (partition_at is not None and now >= partition_at
-                    and not self.cache_partitioned
-                    and self.cache_server is not None):
-                self.cache_server.partition()
-                self.cache_partitioned = True
-            if (heal_at is not None and now >= heal_at
-                    and self.cache_partitioned and not self.cache_healed):
-                self.cache_server.heal()
-                self.cache_healed = True
-            if (kills_left == 0 and (partition_at is None
-                                     or self.cache_partitioned)
-                    and (heal_at is None or self.cache_healed)):
-                return  # plan fully delivered
-
-    def _kill_one_worker(self) -> bool:
-        pids = self.executor.worker_pids()
-        if not pids:
-            return False
-        beat = self.executor.heartbeat()
-        if beat.workers == 0 or beat.in_flight == 0:
-            # Nobody has attached / nothing is leased yet: killing now
-            # would miss the interesting window.  Wait for work to be
-            # genuinely in flight so the SIGKILL lands mid-cell.
-            return False
-        pid = pids[0]
-        try:
-            os.kill(pid, signal_module.SIGKILL)
-        except OSError:
-            return False
-        self.killed_pids.append(pid)
-        return True
-
-
-def run_backend_chaos(spec: SweepSpec, runner: ScenarioRunner,
-                      chaos: BackendChaos,
-                      cache_server: Any = None) -> BackendChaosReport:
-    """Run one sweep while sabotaging its infrastructure on plan.
-
-    ``runner`` must use a
-    :class:`~repro.sim.distributed.DistributedExecutor` (worker kills
-    and lease duplication act on it); ``cache_server`` is only needed
-    when the plan partitions the cache.  Returns the sweep result plus
-    the audited invariants -- callers assert ``lost_cells == 0``,
-    ``double_commits == 0`` and byte-equality against a serial run.
-    """
-    executor = runner.executor
-    if executor is None or not hasattr(executor, "worker_pids"):
-        raise ValueError(
-            "run_backend_chaos needs a runner with a DistributedExecutor")
-    if chaos.duplicate_leases:
-        executor.inject_duplicate_leases(chaos.duplicate_leases)
-    monkey = _BackendChaosMonkey(chaos, executor, cache_server)
-    monkey.start()
-    try:
-        result = runner.run_or_resume(spec)
-    finally:
-        monkey.stop()
-
-    report = BackendChaosReport(
-        result=result,
-        killed_pids=list(monkey.killed_pids),
-        cache_partitioned=monkey.cache_partitioned,
-        cache_healed=monkey.cache_healed,
-        duplicated_leases=chaos.duplicate_leases,
-        lost_cells=sum(1 for r in result.results
-                       if isinstance(r, CellFailure)),
-        dist_stats=dict(executor.stats.as_dict()),
-    )
-    if runner.journal is not None and runner.journal.exists():
-        counts = journal_commit_counts(runner.journal)
-        report.double_commits = sum(1 for c in counts.values() if c > 1)
-    return report

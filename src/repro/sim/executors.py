@@ -10,20 +10,17 @@ decides *where and how*.  The interface is deliberately small:
 * :meth:`SweepExecutor.submit` runs one cell to a final outcome --
   a :data:`CellResult` or a contained :class:`CellFailure`;
 * :meth:`SweepExecutor.run` maps ``submit`` over a batch (backends
-  override it to fan out);
-* :meth:`SweepExecutor.heartbeat` is a liveness/progress snapshot.
+  override it to fan out).
 
-:class:`LocalProcessExecutor` reproduces the historic in-repo
-behaviour byte-for-byte: serial in-process execution for one worker,
-``ProcessPoolExecutor`` fan-out with killed-worker containment and
-retry/backoff above that.  The distributed TCP backend lives in
-:mod:`repro.sim.distributed`.
+:class:`LocalProcessExecutor` is the one shipped backend: serial
+in-process execution for one worker, ``ProcessPoolExecutor`` fan-out
+with killed-worker containment and retry/backoff above that.  It runs
+only the cells the runner's fleet batch did not take.
 
 This module also owns the cell-execution primitives (single attempt,
-sidecar checkpointing, per-cell timeout, failure capture) that every
-backend shares -- a worker process on another host runs exactly the
-same :func:`timed_cell` as the serial loop, which is what keeps remote
-results byte-identical to local ones.
+sidecar checkpointing, per-cell timeout, failure capture) -- a pool
+worker runs exactly the same :func:`timed_cell` as the serial loop,
+which is what keeps pooled results byte-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ __all__ = [
     "CellFailure",
     "CellTimeoutError",
     "ExecutionContext",
-    "ExecutorHeartbeat",
     "SweepExecutor",
     "LocalProcessExecutor",
     "timed_cell",
@@ -317,19 +313,10 @@ class ExecutionContext:
     #: The sweep's stats object; backends add their retry/backoff
     #: accounting to it.
     stats: Any = None
-    #: Durable-append hook into the run journal (``RunJournal.append``);
-    #: backends that persist their own dispatch state (the distributed
-    #: coordinator's lease grants) write through this.  None for
-    #: un-journalled sweeps.
-    journal_append: Optional[Callable[[str, Dict[str, Any]], int]] = None
-    #: index -> count of journalled-but-uncommitted lease grants from a
-    #: previous coordinator incarnation (crash recovery: these charge
-    #: the cell's failure budget before re-dispatch).
-    replayed_grants: Dict[int, int] = field(default_factory=dict)
     #: Dispatch callback: called when a cell is handed to a worker
-    #: (pool submit, lease grant, serial pickup) so an external poller
-    #: can distinguish queued from running cells.  Purely advisory --
-    #: it must never raise and never affects results.
+    #: (pool submit, serial pickup) so an external poller can
+    #: distinguish queued from running cells.  Purely advisory -- it
+    #: must never raise and never affects results.
     on_start: Optional[Callable[[int], None]] = None
 
     def finalise(self, index: int, outcome: CellOutcome) -> None:
@@ -353,24 +340,6 @@ class ExecutionContext:
                 reg.counter("sweep.backoff_wait_s").inc(wait_s)
 
 
-@dataclass
-class ExecutorHeartbeat:
-    """A point-in-time liveness snapshot of a backend."""
-
-    #: Backend name ("local", "distributed", ...).
-    backend: str
-    #: Monotonic timestamp of the snapshot.
-    at_monotonic: float
-    #: Workers currently attached/usable.
-    workers: int = 0
-    #: Cells finished so far in the current batch.
-    done: int = 0
-    #: Cells handed out but not yet finished (leases, futures).
-    in_flight: int = 0
-    #: Extra backend-specific gauges.
-    detail: Dict[str, float] = field(default_factory=dict)
-
-
 class SweepExecutor:
     """Interface every sweep backend implements.
 
@@ -385,7 +354,6 @@ class SweepExecutor:
 
     def __init__(self) -> None:
         self._ctx: Optional[ExecutionContext] = None
-        self._done = 0
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, ctx: ExecutionContext) -> None:
@@ -393,7 +361,6 @@ class SweepExecutor:
         if self._ctx is not None:
             raise RuntimeError(f"{type(self).__name__} is already attached")
         self._ctx = ctx
-        self._done = 0
 
     def detach(self) -> None:
         """Release the sweep binding (idempotent)."""
@@ -414,7 +381,6 @@ class SweepExecutor:
         item = timed_cell(cell, ctx.cell_timeout_s,
                           ctx.ckpts.get(cell.index),
                           ctx.checkpoint_every_steps)
-        self._done += 1
         ctx.finalise(item[0], item[1])
         return item
 
@@ -423,12 +389,6 @@ class SweepExecutor:
         return [self.submit(cell) for cell in cells]
 
     # -- introspection -------------------------------------------------
-    def heartbeat(self) -> ExecutorHeartbeat:
-        """Liveness/progress snapshot (cheap, thread-safe)."""
-        return ExecutorHeartbeat(backend=self.name,
-                                 at_monotonic=time.monotonic(),
-                                 workers=1, done=self._done)
-
     def remote_blobs(self) -> List[obs.RunTelemetry]:
         """Telemetry blobs of cells computed *outside* this process.
 
@@ -457,23 +417,15 @@ class LocalProcessExecutor(SweepExecutor):
         super().__init__()
         self.workers = max(1, workers)
         self._blobs: List[obs.RunTelemetry] = []
-        self._in_flight = 0
 
     def attach(self, ctx: ExecutionContext) -> None:
         super().attach(ctx)
         self._blobs = []
-        self._in_flight = 0
 
     def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
         if self.workers <= 1 or len(cells) <= 1:
             return [self.submit(cell) for cell in cells]
         return self._run_pool(cells)
-
-    def heartbeat(self) -> ExecutorHeartbeat:
-        return ExecutorHeartbeat(backend=self.name,
-                                 at_monotonic=time.monotonic(),
-                                 workers=self.workers, done=self._done,
-                                 in_flight=self._in_flight)
 
     def remote_blobs(self) -> List[obs.RunTelemetry]:
         blobs, self._blobs = self._blobs, []
@@ -515,7 +467,6 @@ class LocalProcessExecutor(SweepExecutor):
                          cell)
                         for cell in group
                     ]
-                    self._in_flight = len(futures)
                     for _, cell in futures:
                         ctx.started(cell.index)
                     for future, cell in futures:
@@ -532,7 +483,6 @@ class LocalProcessExecutor(SweepExecutor):
                                 )
                                 outcomes[cell.index] = (cell.index, failure,
                                                         0.0, 0)
-                                self._done += 1
                                 ctx.finalise(cell.index, failure)
                             else:
                                 wait = retry_policy.sleep(
@@ -546,13 +496,11 @@ class LocalProcessExecutor(SweepExecutor):
                                 outcome,
                                 attempts=attempts[cell.index] + 1)
                         outcomes[cell.index] = (index, outcome, elapsed, steps)
-                        self._done += 1
                         ctx.finalise(index, outcome)
                         if obs_on:
                             blob = getattr(outcome, "telemetry", None)
                             if blob is not None:
                                 self._blobs.append(blob)
-                    self._in_flight = 0
             todo = retry
             # After any pool breakage, quarantine survivors one per pool.
             isolate = True

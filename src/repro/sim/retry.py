@@ -1,12 +1,9 @@
 """Retry policies: exponential backoff with deterministic seeded jitter.
 
-Every layer of the sweep engine that re-executes work — the local
-executor retrying a cell whose worker died, the distributed
-coordinator re-dispatching an expired lease, the networked cache
-client probing a partitioned server — shares one policy object.
-This module also hosts the :class:`CircuitBreaker` those same layers
-use to stop *issuing* doomed remote calls while a peer is down.  A
-:class:`RetryPolicy` answers two questions:
+The sweep engine re-executes work in one place: the local executor
+retries a cell whose pool worker died (``BrokenProcessPool``) in a
+fresh single-cell pool.  A :class:`RetryPolicy` answers two questions
+for it:
 
 * *may this unit try again?* — ``allows(attempt)`` caps total
   attempts;
@@ -27,13 +24,11 @@ without arguments uses it.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY",
-           "CircuitBreaker", "BreakerStats"]
+__all__ = ["RetryPolicy", "DEFAULT_RETRY"]
 
 
 @dataclass(frozen=True)
@@ -115,112 +110,3 @@ class RetryPolicy:
 
 #: The historic sweep-engine behaviour: one immediate retry.
 DEFAULT_RETRY = RetryPolicy()
-
-
-@dataclass
-class BreakerStats:
-    """Lifetime counters of one :class:`CircuitBreaker`."""
-
-    #: Closed -> open transitions (consecutive-failure threshold hit).
-    trips: int = 0
-    #: Open -> half-open transitions (one probe let through).
-    probes: int = 0
-    #: Calls refused while the circuit was open / a probe in flight.
-    short_circuits: int = 0
-    #: Half-open -> closed transitions (a probe succeeded).
-    closes: int = 0
-
-
-class CircuitBreaker:
-    """A consecutive-failure circuit breaker with half-open probes.
-
-    The classic three-state machine, sized for remote calls whose
-    failure mode is "the peer is down, every call burns a timeout":
-
-    * **closed** — calls flow; ``failure_threshold`` *consecutive*
-      failures trip the circuit (any success resets the streak);
-    * **open** — :meth:`allow` refuses instantly (no connection
-      attempt, no timeout) until ``reset_timeout_s`` has elapsed;
-    * **half-open** — exactly one probe call is let through; its
-      success closes the circuit, its failure re-opens it for another
-      full ``reset_timeout_s``.  Concurrent callers during the probe
-      are refused, so a recovering peer sees one connection, not a
-      thundering herd.
-
-    Thread-safe; all transitions happen under one lock.  ``clock`` is
-    injectable for deterministic tests.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(self, failure_threshold: int = 1,
-                 reset_timeout_s: float = 0.5,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if reset_timeout_s < 0:
-            raise ValueError("reset_timeout_s must be non-negative")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self.stats = BreakerStats()
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._failures = 0
-        self._opened_at = 0.0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._state == self.CLOSED
-
-    def allow(self) -> bool:
-        """Whether a call may be issued right now.
-
-        In the open state, returns True exactly once per
-        ``reset_timeout_s`` window — the half-open probe — and refuses
-        everything else without touching the network.
-        """
-        with self._lock:
-            if self._state == self.CLOSED:
-                return True
-            if (self._state == self.OPEN
-                    and self._clock() - self._opened_at
-                    >= self.reset_timeout_s):
-                self._state = self.HALF_OPEN
-                self.stats.probes += 1
-                return True
-            # Open inside the window, or a half-open probe is already
-            # in flight: refuse without burning a timeout.
-            self.stats.short_circuits += 1
-            return False
-
-    def record_success(self) -> None:
-        """A call succeeded: close the circuit, reset the streak."""
-        with self._lock:
-            if self._state != self.CLOSED:
-                self.stats.closes += 1
-            self._state = self.CLOSED
-            self._failures = 0
-
-    def record_failure(self) -> None:
-        """A call failed: extend the streak, maybe trip the circuit."""
-        with self._lock:
-            self._failures += 1
-            if self._state == self.HALF_OPEN:
-                # The probe failed: back to a full open window.
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-                return
-            if (self._state == self.CLOSED
-                    and self._failures >= self.failure_threshold):
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-                self.stats.trips += 1

@@ -413,8 +413,8 @@ class SimStats:
     #: Backoff wall time spent waiting between retry attempts (s).
     backoff_wait_s: float = 0.0
     workers: int = 1
-    #: Executor backend that ran the pending cells ("local",
-    #: "distributed", ...; "none" when no executor ran because every
+    #: Executor backend that ran the pending cells ("local", or a
+    #: custom executor's name; "none" when no executor ran because every
     #: cell came from cache, the journal or a fleet batch).
     executor: str = "none"
     #: Per-cell timeout mechanism for in-process execution: "none"
@@ -662,8 +662,8 @@ class ScenarioRunner:
         A :class:`~repro.sim.executors.SweepExecutor` backend, or
         ``None`` for the default
         :class:`~repro.sim.executors.LocalProcessExecutor` (serial /
-        process-pool, governed by ``workers``).  The distributed TCP
-        backend lives in :mod:`repro.sim.distributed`.
+        process-pool, governed by ``workers``).  A custom executor
+        turns the fleet batch off: every pending cell goes to it.
 
     Engine choice is automatic.  When the runner executes in-process
     (no ``executor``, one worker), no per-cell bound is set
@@ -715,8 +715,9 @@ class ScenarioRunner:
     def _set_state(self, index: int, state: str) -> None:
         with self._progress_lock:
             # A terminal state never regresses to "running": a late
-            # dispatch notification (e.g. a re-granted lease racing its
-            # own commit) must not make a finished cell look active.
+            # dispatch notification (an executor whose ``on_start``
+            # lands after the cell's commit) must not make a finished
+            # cell look active.
             if (state == "running"
                     and self._cell_states.get(index) in _TERMINAL_OK
                     + ("failed",)):
@@ -787,23 +788,16 @@ class ScenarioRunner:
         head = records[0]["data"]
         spec: SweepSpec = pickle.loads(decode_blob(head["spec"]))
         committed: Dict[int, CellResult] = {}
-        grants: Dict[int, int] = {}
         for record in records[1:]:
-            data = record["data"]
+            # Other record types (``cell_start``, and the dispatch
+            # records older journals carry) hold nothing to restore.
             if record["type"] == "cell_commit":
+                data = record["data"]
                 committed[data["index"]] = pickle.loads(
                     decode_blob(data["result"]))
-            elif record["type"] == "lease_grant" \
-                    and not data.get("duplicate", False):
-                grants[data["index"]] = grants.get(data["index"], 0) + 1
-        # A grant that later committed consumed its attempt normally;
-        # only journalled-but-uncommitted grants are orphans of the
-        # dead coordinator and must charge the cell's failure budget.
-        replayed = {index: count for index, count in grants.items()
-                    if index not in committed}
         with RunJournal(path) as live:
             return self._run(spec, journal=live, committed=committed,
-                             salt=head["salt"], replayed_grants=replayed)
+                             salt=head["salt"])
 
     def run_or_resume(self, spec: SweepSpec) -> SweepResult:
         """Run ``spec``, or resume the runner's journal if it has records.
@@ -865,8 +859,7 @@ class ScenarioRunner:
 
     def _run(self, spec: SweepSpec, journal: Optional[RunJournal],
              committed: Dict[int, CellResult],
-             salt: Optional[str],
-             replayed_grants: Optional[Dict[int, int]] = None) -> SweepResult:
+             salt: Optional[str]) -> SweepResult:
         run_started = time.perf_counter()
         stats = SimStats(workers=self.workers)
         stats.timeout_mechanism = choose_timeout_mechanism(
@@ -1012,9 +1005,6 @@ class ScenarioRunner:
                     on_final=lambda index, outcome: _finalise(
                         [(index, outcome)]),
                     stats=stats,
-                    journal_append=(journal.append
-                                    if journal is not None else None),
-                    replayed_grants=dict(replayed_grants or {}),
                     on_start=lambda index: self._set_state(
                         index, "running"),
                 )

@@ -1,13 +1,12 @@
 """Importable test doubles shared by the test suite and smoke scripts.
 
-Chaos and distributed-sweep tests need policies that are slow (so a
-SIGKILL lands *mid-cell*) or hostile (so containment is exercised)
-while remaining **picklable by module path** -- a distributed worker
-is a fresh ``python -m repro.sim.distributed`` process that can import
-``repro.testing`` but not a pytest-mangled test module.  Keeping these
-doubles here, next to the code they stress, is what lets the same
-classes serve unit tests, the CI smoke scripts and ad-hoc two-terminal
-experiments.
+Kill/resume and service tests need policies that are slow (so a
+SIGKILL lands *mid-cell*) while remaining **picklable by module
+path** -- a pool worker, or a restarted service replaying its WAL,
+can import ``repro.testing`` but not a pytest-mangled test module.
+Keeping these doubles here, next to the code they stress, is what
+lets the same classes serve unit tests, the service's ``slow_dual``
+policy type and the CI smoke scripts.
 
 The delays burn wall time only; the simulated physics (and therefore
 every result byte) are identical to the undelayed base policy.
@@ -27,9 +26,9 @@ __all__ = ["SlowDualPolicy"]
 class SlowDualPolicy(DualPolicy):
     """A DualPolicy that wastes ``delay_s`` of wall time per cell.
 
-    Slowing the cell down guarantees fault injection (worker SIGKILL,
-    cache partition) lands while work is genuinely in flight instead
-    of after the sweep already finished.
+    Slowing the cell down guarantees fault injection (a SIGKILLed
+    pool worker or server) lands while work is genuinely in flight
+    instead of after the sweep already finished.
     """
 
     delay_s: float = 0.4

@@ -204,9 +204,7 @@ def test_observed_sweeps_stay_scalar_and_export_the_counters():
 @pytest.fixture()
 def service(tmp_path, monkeypatch):
     monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
-    monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
-    svc = CapmanService(tmp_path / "state", cell_workers=1,
-                        job_runners=1).start()
+    svc = CapmanService(tmp_path / "state", job_runners=1).start()
     yield svc
     svc.close()
 

@@ -21,8 +21,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.durability.journal import JournalError, RunJournal
-from repro.sim.sweep import ScenarioRunner
+from repro.durability.journal import JournalError, RunJournal, encode_blob
+from repro.sim.chaos import journal_commit_counts
+from repro.sim.sweep import ScenarioRunner, cell_keys, code_salt
 
 import resume_helper
 
@@ -141,3 +142,47 @@ class TestJournalledRun:
             ScenarioRunner(workers=1).resume()
         with pytest.raises(JournalError):
             ScenarioRunner(workers=1).resume(tmp_path / "absent.journal")
+
+
+class TestOldJournalFormat:
+    """Journals written before the sweep engine lost its networked
+    backend also carry ``lease_grant`` dispatch records; they must
+    still resume."""
+
+    def test_lease_grant_records_resume_exactly_once(self, tmp_path,
+                                                     reference):
+        spec = resume_helper.build_spec(delay_s=0.0)
+        cells = spec.expand()
+        salt = code_salt()
+        keys = cell_keys(cells, salt)
+        blobs = [pickle.dumps(r, protocol=4) for r in reference.results]
+        journal = tmp_path / "old.journal"
+        with RunJournal(journal) as log:
+            log.append("sweep_start", {
+                "spec": encode_blob(pickle.dumps(spec, protocol=4)),
+                "salt": salt, "n_cells": len(spec), "kind": spec.kind})
+            for cell in cells:
+                log.append("cell_start", {"index": cell.index,
+                                          "key": keys[cell.index],
+                                          "label": cell.label})
+            # Cell 0: granted and committed.  Cell 2: granted, never
+            # committed.  Cell 3: only a duplicate (stolen) grant.
+            log.append("lease_grant", {"index": 0, "lease": "l0",
+                                       "worker": "w0", "duplicate": False})
+            log.append("lease_grant", {"index": 2, "lease": "l2",
+                                       "worker": "w1", "duplicate": False})
+            log.append("lease_grant", {"index": 3, "lease": "l3",
+                                       "worker": "w0", "duplicate": True})
+            for index in (0, 1):
+                log.append("cell_commit", {
+                    "index": index, "key": keys[index],
+                    "result": encode_blob(blobs[index])})
+
+        resumed = ScenarioRunner(workers=1, journal=journal).resume()
+        assert resumed.stats.cells_resumed == 2
+        assert resumed.stats.cells_computed == len(spec) - 2
+        assert [pickle.dumps(r, protocol=4)
+                for r in resumed.results[:2]] == blobs[:2]
+        assert _cell_bytes(resumed) == _cell_bytes(reference)
+        assert journal_commit_counts(journal) == {
+            cell.index: 1 for cell in cells}

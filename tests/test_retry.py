@@ -1,12 +1,10 @@
-"""Tests for RetryPolicy, CircuitBreaker and their wiring into the
-sweep engine."""
+"""Tests for RetryPolicy and its wiring into the sweep engine."""
 
 import pytest
 
 from repro import obs
-from repro.sim.distributed import SweepCoordinator
-from repro.sim.executors import CellFailure, ExecutionContext
-from repro.sim.retry import DEFAULT_RETRY, CircuitBreaker, RetryPolicy
+from repro.sim.executors import ExecutionContext
+from repro.sim.retry import DEFAULT_RETRY, RetryPolicy
 from repro.sim.sweep import ScenarioRunner, SimStats
 
 
@@ -63,152 +61,6 @@ class TestPolicy:
         slept.clear()
         assert DEFAULT_RETRY.sleep(1, sleeper=slept.append) == 0.0
         assert slept == []  # zero wait never calls the sleeper
-
-
-class _FakeCell:
-    """Just enough cell for coordinator dispatch accounting."""
-
-    def __init__(self, index, label=None):
-        self.index = index
-        self.label = label or f"cell-{index}"
-
-
-def _manual_clock():
-    now = [0.0]
-    return now, (lambda: now[0])
-
-
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout_s=-1.0)
-
-    def test_trips_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.closed  # streak below threshold
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.stats.trips == 1
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.closed  # the streak must be *consecutive*
-
-    def test_open_short_circuits_until_reset_timeout(self):
-        now, clock = _manual_clock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0,
-                                 clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()  # inside the window: refused
-        assert not breaker.allow()
-        assert breaker.stats.short_circuits == 2
-        now[0] = 10.0
-        assert breaker.allow()  # the half-open probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.stats.probes == 1
-
-    def test_half_open_probe_success_closes(self):
-        now, clock = _manual_clock()
-        breaker = CircuitBreaker(reset_timeout_s=1.0, clock=clock)
-        breaker.record_failure()
-        now[0] = 1.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.closed
-        assert breaker.stats.closes == 1
-
-    def test_half_open_probe_failure_rearms_full_window(self):
-        now, clock = _manual_clock()
-        breaker = CircuitBreaker(reset_timeout_s=5.0, clock=clock)
-        breaker.record_failure()  # opens at t=0
-        now[0] = 5.0
-        assert breaker.allow()  # probe at t=5
-        breaker.record_failure()  # probe failed: re-open
-        assert breaker.state == CircuitBreaker.OPEN
-        now[0] = 9.9
-        assert not breaker.allow()  # window restarted at t=5, not t=0
-        now[0] = 10.0
-        assert breaker.allow()
-        # The re-open is not a fresh trip: one outage, one trip.
-        assert breaker.stats.trips == 1
-
-    def test_concurrent_callers_during_probe_are_refused(self):
-        now, clock = _manual_clock()
-        breaker = CircuitBreaker(reset_timeout_s=1.0, clock=clock)
-        breaker.record_failure()
-        now[0] = 2.0
-        assert breaker.allow()  # first caller becomes the probe
-        assert not breaker.allow()  # second caller: no thundering herd
-        assert breaker.stats.probes == 1
-        assert breaker.stats.short_circuits == 1
-
-
-class TestExhaustionPaths:
-    """Satellite: RetryPolicy budgets actually running out, observably."""
-
-    def test_lease_reclaim_exhausts_the_budget_to_a_failure(self):
-        # Two journalled-but-uncommitted grants from a dead coordinator
-        # against a 2-attempt budget: the restarted coordinator must
-        # finally fail the cell instead of re-dispatching a third time.
-        committed = []
-        ctx = ExecutionContext(
-            retry=RetryPolicy(max_attempts=2),
-            on_final=lambda index, outcome: committed.append((index, outcome)),
-            replayed_grants={0: 2})
-        coordinator = SweepCoordinator([_FakeCell(0)], ctx)
-        assert coordinator.finished  # failed terminally, never served
-        (index, outcome), = committed
-        assert index == 0
-        assert isinstance(outcome, CellFailure)
-        assert outcome.error_type == "LeaseExpiredError"
-        assert outcome.attempts == 2
-        assert coordinator.stats.recovered_leases == 2
-        assert coordinator.stats.retries == 0
-
-    def test_lease_reclaim_within_budget_requeues_with_backoff(self):
-        committed = []
-        ctx = ExecutionContext(
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.2,
-                              jitter=0.5, seed=11),
-            on_final=lambda index, outcome: committed.append((index, outcome)),
-            replayed_grants={0: 1})
-        coordinator = SweepCoordinator([_FakeCell(0)], ctx)
-        assert not committed  # still dispatchable
-        assert coordinator.stats.recovered_leases == 1
-        assert coordinator.stats.retries == 1
-        assert coordinator.stats.backoff_wait_s == ctx.retry.wait_s(
-            1, token="cell-0")  # the deterministic jittered wait, exactly
-
-    def test_worker_reconnect_schedule_is_seeded_and_deterministic(self):
-        from repro.sim.distributed import SweepWorker
-        same_a = SweepWorker(("127.0.0.1", 1), worker_id="w-a")
-        same_b = SweepWorker(("127.0.0.1", 1), worker_id="w-a")
-        other = SweepWorker(("127.0.0.1", 1), worker_id="w-b")
-        schedule = [same_a.reconnect_retry.wait_s(n, token="reconnect")
-                    for n in range(1, 8)]
-        assert schedule == [same_b.reconnect_retry.wait_s(n, token="reconnect")
-                            for n in range(1, 8)]  # reproducible
-        if other.reconnect_retry.seed != same_a.reconnect_retry.seed:
-            # Distinct seeds (the overwhelmingly common case; the seed
-            # is a 16-bit fold of the worker id) give distinct waits.
-            assert schedule != [
-                other.reconnect_retry.wait_s(n, token="reconnect")
-                for n in range(1, 8)]
-        assert all(w <= 1.0 for w in schedule)  # saturates at the ceiling
-
-    def test_reconnect_budget_is_effectively_unbounded(self):
-        # The reconnect window is bounded by wall clock, not attempts:
-        # the policy itself must never run dry mid-outage.
-        from repro.sim.distributed import SweepWorker
-        worker = SweepWorker(("127.0.0.1", 1), worker_id="w")
-        assert worker.reconnect_retry.allows(10_000_000)
 
 
 class TestRunnerWiring:

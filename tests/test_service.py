@@ -36,9 +36,7 @@ from service_client import api, small_grid, wait_for_job
 @pytest.fixture()
 def service(tmp_path, monkeypatch):
     monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
-    monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
-    svc = CapmanService(tmp_path / "state", cell_workers=1,
-                        job_runners=1).start()
+    svc = CapmanService(tmp_path / "state", job_runners=1).start()
     yield svc
     svc.close()
 
@@ -210,7 +208,6 @@ class _RendezvousOs:
 class TestConcurrentRunners:
     def test_two_runner_threads_share_one_cache(self, tmp_path,
                                                 monkeypatch):
-        monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
         rendezvous = _RendezvousOs(timeout_s=2.0)
         monkeypatch.setattr(sweep_module, "os", rendezvous)
         grids = [small_grid(capacities=(30.0, 40.0)),

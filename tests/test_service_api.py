@@ -2,10 +2,10 @@
 
 Every bad request must come back as a structured ``{"error": {...}}``
 envelope with a stable machine code -- and, crucially, must leave the
-server answering the next request.  The concurrent fuzz test (seeded,
-pattern of ``tests/test_protocol_fuzz.py``) hammers the listener with
-garbage byte streams, truncated bodies and junk routes from several
-threads, then proves the service still does real work.
+server answering the next request.  The concurrent fuzz test (seeded)
+hammers the listener with garbage byte streams, truncated bodies and
+junk routes from several threads, then proves the service still does
+real work.
 """
 
 import http.client
@@ -27,9 +27,8 @@ SECRET = "sweep-service-test-secret"
 @pytest.fixture()
 def service(tmp_path, monkeypatch):
     monkeypatch.setenv("CAPMAN_DIST_SECRET", SECRET)
-    monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
-    svc = CapmanService(tmp_path / "state", cell_workers=1,
-                        job_runners=1, max_body_bytes=64 << 10).start()
+    svc = CapmanService(tmp_path / "state", job_runners=1,
+                        max_body_bytes=64 << 10).start()
     yield svc
     svc.close()
 

@@ -1,9 +1,8 @@
 """Crash-safety drill for the service: SIGKILL mid-sweep, restart,
 prove zero lost / double-committed / recomputed cells.
 
-Pattern of ``tests/dist_failover_helper.py``, one level up the stack:
-the victim here is the whole API server (``python -m repro.service``
-in a subprocess), not a coordinator.  The parent
+The victim is the whole API server (``python -m repro.service`` in a
+subprocess).  The parent
 
 1. boots the service on an ephemeral port, submits a slow grid (the
    wall-time-burning ``slow_dual`` policy keeps cells in flight long
@@ -43,7 +42,6 @@ def _spawn(root: Path) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("CAPMAN_DIST_SECRET", None)
-    env.pop("CAPMAN_DIST_WORKERS", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.service", "--root", str(root),
          "--job-runners", "1"],
