@@ -187,20 +187,34 @@ def well_substeps_array(dt: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndar
 
 
 def step_wells(
-    y1: Number, y2: Number, current: Number, h: Number, steps: int,
-    c: Number, k: Number,
+    y1: Number, y2: Number, current: Number, h: Number,
+    steps: Union[int, np.ndarray], c: Number, k: Number,
 ) -> Tuple[Number, Number]:
     """``steps`` Euler substeps of length ``h`` of the two-well ODEs.
 
     Callers supply ``h = dt / steps`` with ``steps`` from
-    :func:`well_substeps`; rows sharing a substep count may batch with
-    per-row ``h``/``c``/``k`` arrays.
+    :func:`well_substeps`.  On arrays, ``steps`` may be a per-row count
+    array (``h``/``c``/``k`` per row too): every row runs its own count
+    and is frozen once past it, so it ends bitwise where its count
+    alone would leave it; a count of 0 leaves a row's wells untouched
+    up to the final ``max(0.0, y2)``.  The freeze costs ops only from
+    the smallest count on, so rows that share one count pay nothing.
     """
-    for _ in range(steps):
+    counts = steps if isinstance(steps, np.ndarray) else None
+    frozen_from = steps
+    if counts is not None:
+        steps = int(counts.max(initial=0))
+        frozen_from = int(counts.min(initial=0))
+    for s in range(steps):
         flow = k * (y2 / (1.0 - c) - y1 / c)
-        y1 = y1 + h * (-current + flow)
-        y2 = y2 + h * (-flow)
-        y1 = where(y1 < 0.0, 0.0, y1)
+        n1 = y1 + h * (-current + flow)
+        n2 = y2 + h * (-flow)
+        n1 = where(n1 < 0.0, 0.0, n1)
+        if s >= frozen_from:
+            live = counts > s
+            n1 = np.where(live, n1, y1)
+            n2 = np.where(live, n2, y2)
+        y1, y2 = n1, n2
     return y1, pymax(0.0, y2)
 
 

@@ -198,6 +198,13 @@ class BatteryCostModel:
         return 1.0 / (1.0 + cost / self.scale_w)
 
 
+@lru_cache(maxsize=None)
+def _shared_vocabulary() -> SyscallVocabulary:
+    """The default vocabulary, built once and shared read-only by every
+    profiler not handed its own (a fleet build makes dozens)."""
+    return default_vocabulary()
+
+
 class PowerProfiler:
     """Accumulates observed device-state transitions and builds MDPs."""
 
@@ -208,7 +215,7 @@ class PowerProfiler:
         cost_model: Optional[BatteryCostModel] = None,
     ) -> None:
         self.profile = profile
-        self.vocabulary = vocabulary or default_vocabulary()
+        self.vocabulary = vocabulary or _shared_vocabulary()
         self.cost_model = cost_model or BatteryCostModel()
         #: counts[d][d'] over observed consecutive device keys.
         self._counts: Dict[DeviceKey, Counter] = defaultdict(Counter)

@@ -52,10 +52,18 @@ def decode_blob(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
 
 
+def _canonical(seq: int, rtype: str, data: Dict[str, Any]) -> str:
+    """The checksummed JSON of a record: everything but its ``crc``."""
+    return json.dumps({"seq": seq, "type": rtype, "data": data},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def _crc_of(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def _record_crc(seq: int, rtype: str, data: Dict[str, Any]) -> str:
-    canon = json.dumps({"seq": seq, "type": rtype, "data": data},
-                       sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return _crc_of(_canonical(seq, rtype, data))
 
 
 class RunJournal:
@@ -119,10 +127,13 @@ class RunJournal:
             first = self._seq
             for rtype, data in records:
                 seq = self._seq
-                record = {"seq": seq, "type": rtype, "data": data,
-                          "crc": _record_crc(seq, rtype, data)}
-                self._fh.write(json.dumps(record, sort_keys=True,
-                                          separators=(",", ":")) + "\n")
+                # One encoding per record: "crc" sorts before every
+                # other key, so splicing it in front of the canonical
+                # dump gives exactly the bytes of dumping the whole
+                # record with sorted keys.
+                canonical = _canonical(seq, rtype, data)
+                self._fh.write('{"crc":"' + _crc_of(canonical) + '",'
+                               + canonical[1:] + "\n")
                 self._seq = seq + 1
             count = self._seq - first
             if count:

@@ -550,41 +550,25 @@ class FleetSimulator:
                  power_final[sel], voltage_final[sel]))
 
     # ------------------------------------------------------------------
-    # Grouped physics helpers (rows batched by shared substep count)
+    # Physics helpers: one masked substep loop per kernel
     # ------------------------------------------------------------------
+    # Each row takes its own substep count (and h = dt / count); a row
+    # outside ``mask`` gets count 0, so the kernel leaves it frozen.
     def _wells(self, y1, y2, cur, dt, c, k, mask):
-        counts = K.well_substeps_array(dt, c, k)
-        ny1, ny2 = y1.copy(), y2.copy()
-        for n in np.unique(counts[mask]):
-            m = mask & (counts == n)
-            steps = int(n)
-            r1, r2 = K.step_wells(y1[m], y2[m], cur[m], dt[m] / steps,
-                                  steps, c[m], k[m])
-            ny1[m] = r1
-            ny2[m] = r2
-        return ny1, ny2
+        counts = np.where(mask, K.well_substeps_array(dt, c, k), 0)
+        return K.step_wells(y1, y2, cur, dt / np.maximum(counts, 1),
+                            counts, c, k)
 
     def _thermal(self, mask, dt, injections) -> None:
         from ..thermal.conduction import euler_conduction
 
-        if not mask.any():
-            return
         st = self.state
-        counts = np.minimum(
+        counts = np.where(mask, np.minimum(
             np.maximum(np.ceil(dt / self.thermal_sub), 1.0),
-            100_000.0).astype(np.int64)
-        new_temps = [t.copy() for t in st.node_temps]
-        for n in np.unique(counts[mask]):
-            m = mask & (counts == n)
-            steps = int(n)
-            temps = [t[m] for t in st.node_temps]
-            inj = [col[m] if isinstance(col, np.ndarray) else col
-                   for col in injections]
-            out = euler_conduction(temps, inj, self.links, self.actives,
-                                   steps, dt[m] / steps)
-            for i in range(len(new_temps)):
-                new_temps[i][m] = out[i]
-        st.node_temps = new_temps
+            100_000.0).astype(np.int64), 0)
+        st.node_temps = euler_conduction(
+            st.node_temps, injections, self.links, self.actives, counts,
+            dt / np.maximum(counts, 1))
 
     # ------------------------------------------------------------------
     # Exact scalar fallback

@@ -10,8 +10,10 @@ FleetSimulator` advances in lockstep:
   :func:`repro.sim.engine.iter_control_steps` over the looped trace, so
   every start/dt float is bitwise the one the scalar loop would see;
 * per-segment **demand powers** come from the real
-  ``Phone._demand_powers`` memo of a per-row :class:`Phone` that is
-  kept alive for the simulator's exact-fallback path;
+  ``Phone._demand_powers`` of a row's :class:`Phone`, computed once
+  per distinct (profile, schedule) pair and copied to the rows that
+  share it (every row keeps its own Phone for the simulator's
+  exact-fallback path);
 * heterogeneous **parameters** (chemistry constants, switch costs,
   supercap sizing, TEC drive, thermostat thresholds) are read off the
   constructed objects into padded ``(N,)`` arrays.
@@ -247,7 +249,10 @@ class FleetSpec:
         params: Dict[str, np.ndarray] = {}
 
         def farr(name):
-            return params.setdefault(name, np.zeros(n, dtype=np.float64))
+            arr = params.get(name)
+            if arr is None:
+                arr = params[name] = np.zeros(n, dtype=np.float64)
+            return arr
 
         for i, dev in enumerate(self.devices):
             reason = _check_policy(dev.policy)
@@ -344,15 +349,23 @@ class FleetSpec:
         params["cap_total"] = np.where(params["single"], params["cap_b"],
                                        params["cap_b"] + params["cap_l"])
 
-        # Demand-power tables via the real per-phone memo: (N, max_segs).
+        # Demand-power tables, (N, max_segs): a row depends only on the
+        # profile and the schedule, so each distinct pair is computed
+        # once through the real Phone._demand_powers and then copied.
         max_segs = max(len(s.segments) for s in schedules)
         base_tbl = np.zeros((n, max_segs), dtype=np.float64)
         cpu_tbl = np.zeros((n, max_segs), dtype=np.float64)
-        for i, (phone, sched) in enumerate(zip(phones, schedules)):
+        first_row: Dict[Tuple[int, int], int] = {}
+        for i, (dev, phone, sched) in enumerate(zip(self.devices, phones,
+                                                     schedules)):
+            first = first_row.setdefault((id(dev.profile), id(sched)), i)
+            if first != i:
+                base_tbl[i] = base_tbl[first]
+                cpu_tbl[i] = cpu_tbl[first]
+                continue
             for si, seg in enumerate(sched.segments):
-                base_w, cpu_w = phone._demand_powers(seg.demand)
-                base_tbl[i, si] = base_w
-                cpu_tbl[i, si] = cpu_w
+                base_tbl[i, si], cpu_tbl[i, si] = phone._demand_powers(
+                    seg.demand)
 
         n_steps = np.asarray([s.n_steps for s in schedules], dtype=np.int64)
 

@@ -38,7 +38,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs.export import registry_snapshot
 from ..obs.registry import MetricsRegistry
@@ -106,6 +106,21 @@ class ServiceMetrics:
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             return registry_snapshot(self.registry, spans=self._spans)
+
+
+def results_body(job_id: str, blobs: List[bytes]) -> bytes:
+    """The ``GET /jobs/{id}/results`` body.
+
+    Byte for byte ``json.dumps({"job_id": ..., "count": ..., "cells":
+    [base64, ...]}, sort_keys=True)``, joined directly: base64 text
+    needs no JSON escaping, so encoding a 96-cell body skips a walk
+    over megabytes of string.
+    """
+    cells = '", "'.join(base64.b64encode(blob).decode("ascii")
+                        for blob in blobs)
+    return (('{"cells": ["' + cells + '"]' if blobs else '{"cells": []')
+            + f', "count": {len(blobs)}, "job_id": {json.dumps(job_id)}}}'
+            ).encode("ascii")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -243,12 +258,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _results(self, job_id: str) -> int:
         blobs = self.service.store.result_blobs(job_id)
-        return self._send_json(200, {
-            "job_id": job_id,
-            "count": len(blobs),
-            "cells": [base64.b64encode(blob).decode("ascii")
-                      for blob in blobs],
-        })
+        return self._send(200, results_body(job_id, blobs))
 
     def _events(self, job_id: str) -> int:
         """NDJSON progress stream: one status snapshot per line until
@@ -275,7 +285,10 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _send_json(self, status: int, body: Dict[str, Any]) -> int:
-        payload = json.dumps(body, sort_keys=True).encode("utf-8")
+        return self._send(status, json.dumps(body, sort_keys=True)
+                          .encode("utf-8"))
+
+    def _send(self, status: int, payload: bytes) -> int:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

@@ -43,7 +43,7 @@ from ..durability.journal import RunJournal, decode_blob, encode_blob
 from ..obs.tracer import Tracer
 # ``cell_key`` is imported for the per-layer tracer in benchmarks/perf,
 # which wraps it here; identities hash through the batched ``cell_keys``.
-from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,  # noqa: F401
+from ..sim.sweep import (ScenarioRunner, SweepCache, SweepSpec,  # noqa: F401
                          cell_key, cell_keys, code_salt)
 from .schemas import ApiError
 
@@ -51,6 +51,11 @@ __all__ = ["Job", "JobStore", "job_id_for"]
 
 #: Job lifecycle states (the service's state machine; see DESIGN §15).
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
+
+#: The last ``(spec, salt, cell keys)`` :func:`job_id_for` hashed on
+#: this thread, left for :meth:`JobStore.submit` to hand to the job's
+#: sweep, so a served grid's cells are hashed once.
+_hashed = threading.local()
 
 
 def job_id_for(spec: SweepSpec, salt: Optional[str] = None) -> str:
@@ -63,11 +68,23 @@ def job_id_for(spec: SweepSpec, salt: Optional[str] = None) -> str:
     results.
     """
     salt = salt if salt is not None else code_salt()
+    keys = cell_keys(spec.expand(), salt)
     digest = hashlib.sha256()
     digest.update(spec.kind.encode())
-    for key in sorted(cell_keys(spec.expand(), salt)):
+    for key in sorted(keys):
         digest.update(key.encode())
+    _hashed.last = (spec, salt, keys)
     return digest.hexdigest()[:32]
+
+
+def _take_hashed(spec: SweepSpec, salt: str) -> Optional[List[str]]:
+    """The cell keys :func:`job_id_for` just hashed for ``spec`` on
+    this thread (None if it hashed something else since)."""
+    last = getattr(_hashed, "last", None)
+    _hashed.last = None
+    if last is None or last[0] is not spec or last[1] != salt:
+        return None
+    return last[2]
 
 
 @dataclass
@@ -82,7 +99,12 @@ class Job:
     submitted_monotonic: float = 0.0
     #: Live runner while executing (its progress() feeds pollers).
     runner: Optional[ScenarioRunner] = field(default=None, repr=False)
-    result: Optional[SweepResult] = field(default=None, repr=False)
+    #: Cell keys hashed on submit, in spec order, until the sweep runs.
+    keys: Optional[List[str]] = field(default=None, repr=False)
+    #: Per-cell outcome pickles (protocol 4) of a finished job -- the
+    #: bytes its journal commits carry, a small fraction of the
+    #: decoded results' memory.
+    blobs: Optional[List[bytes]] = field(default=None, repr=False)
     #: Stats dict frozen at completion (survives in-memory only; a
     #: recovered done job rebuilds it when results are materialised).
     stats: Optional[Dict[str, Any]] = field(default=None, repr=False)
@@ -156,13 +178,14 @@ class JobStore:
         without journalling, enqueueing or computing anything.
         """
         job_id = job_id_for(spec, self._salt)
+        keys = _take_hashed(spec, self._salt)
         with self._lock:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 self._count("jobs.deduped")
                 return existing, False
             job = Job(job_id=job_id, spec=spec, n_cells=len(spec),
-                      submitted_monotonic=time.monotonic())
+                      submitted_monotonic=time.monotonic(), keys=keys)
             self._jobs[job_id] = job
         self._journal.append("job_submit", {
             "job_id": job_id,
@@ -222,22 +245,21 @@ class JobStore:
         if job.state != DONE:
             raise ApiError(409, "job_not_done",
                            f"job {job_id} is {job.state}")
-        result = self._materialise(job)
-        return [pickle.dumps(r, protocol=4) for r in result.results]
+        return self._materialise(job)
 
-    def _materialise(self, job: Job) -> SweepResult:
-        """The job's SweepResult, rebuilt from its run journal if the
-        store restarted since the job finished (every cell replays as
-        committed -- nothing recomputes)."""
-        if job.result is not None:
-            return job.result
-        runner = self._build_runner(job)
-        result = runner.resume()
+    def _materialise(self, job: Job) -> List[bytes]:
+        """The job's result pickles, read back from its run journal if
+        the store restarted since the job finished (every cell replays
+        as committed -- nothing recomputes)."""
+        if job.blobs is not None:
+            return job.blobs
+        result = self._build_runner(job).resume()
+        blobs = result.blobs()
         with self._lock:
-            if job.result is None:
-                job.result = result
+            if job.blobs is None:
+                job.blobs = blobs
                 job.stats = result.stats.as_dict()
-        return job.result
+        return job.blobs
 
     # ------------------------------------------------------------------
     # Execution
@@ -245,8 +267,11 @@ class JobStore:
     def _build_runner(self, job: Job) -> ScenarioRunner:
         job_dir = self.root / "jobs" / job.job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        return ScenarioRunner(cache=self.cache,
-                              journal=job_dir / "run.journal")
+        runner = ScenarioRunner(cache=self.cache,
+                                journal=job_dir / "run.journal")
+        if job.keys is not None:
+            runner._known_keys = (job.spec, self._salt, job.keys)
+        return runner
 
     def _runner_loop(self) -> None:
         while True:
@@ -285,8 +310,13 @@ class JobStore:
         self._merge_spans(tracer.window(mark))
         self._observe("job.exec_s", time.monotonic() - started)
         failures = result.failures
+        # A finished job keeps its result pickles, not the decoded
+        # results: GET /results serves bytes, and the bytes are a
+        # small fraction of the object graph's memory.
+        blobs = None if failures else result.blobs()
         with self._lock:
-            job.result = result
+            job.keys = None
+            job.blobs = blobs
             job.stats = result.stats.as_dict()
         if failures:
             self._finish(job, ok=False,

@@ -4,12 +4,15 @@ A :class:`MetricsRecorder` accumulates time series with bounded memory
 (uniform decimation once a cap is hit) plus scalar counters, so long
 discharge cycles stay cheap to record.
 
-The storage is a preallocated NumPy buffer per series rather than a
-Python list: appends are O(1) array stores, decimation is a single
+The storage is a NumPy buffer per series rather than a Python list:
+appends are amortised O(1) array stores, decimation is a single
 strided copy done in place, and the summary statistics (`mean`,
 `maximum`, `time_weighted_mean`) reduce over contiguous arrays.  This
 is the hot recording path of ``run_discharge_cycle`` -- a day-long
-trace at 1 s control steps records four series per step.
+trace at 1 s control steps records four series per step.  A buffer
+starts small and doubles up to the cap, and an unpickled series holds
+exactly its samples, so a short run's result (or a decoded cache
+entry) does not pin ``max_points`` slots per series.
 
 Decimation contract
 -------------------
@@ -43,7 +46,7 @@ __all__ = ["TimeSeries", "MetricsRecorder"]
 
 
 class TimeSeries:
-    """A capped (time, value) series backed by preallocated arrays.
+    """A capped (time, value) series backed by growable arrays.
 
     ``times`` and ``values`` expose the recorded samples as NumPy array
     views (read-only in spirit; do not resize them).  See the module
@@ -52,21 +55,41 @@ class TimeSeries:
 
     __slots__ = ("max_points", "_t", "_v", "_n")
 
+    #: Buffer slots a new series starts with.
+    _INITIAL_SLOTS = 64
+
     def __init__(self, max_points: int = 4000) -> None:
         if max_points < 1:
             raise ValueError("max_points must be positive")
         self.max_points = max_points
-        # One slot of headroom: decimation triggers *after* the append
-        # that exceeds the cap, exactly like the historical list
-        # implementation (`append; if len > cap: keep [::2]`).
-        self._t = np.empty(max_points + 1, dtype=np.float64)
-        self._v = np.empty(max_points + 1, dtype=np.float64)
+        size = min(self._INITIAL_SLOTS, max_points + 1)
+        self._t = np.empty(size, dtype=np.float64)
+        self._v = np.empty(size, dtype=np.float64)
         self._n = 0
+
+    def _grow(self, needed: int) -> None:
+        """Reallocate the buffers for ``needed`` samples.
+
+        At least doubles, at most ``max_points + 1`` slots: one slot of
+        headroom, because decimation triggers *after* the append that
+        exceeds the cap, exactly like the historical list
+        implementation (`append; if len > cap: keep [::2]`).
+        """
+        size = min(max(needed, 2 * len(self._t), self._INITIAL_SLOTS),
+                   self.max_points + 1)
+        n = self._n
+        t = np.empty(size, dtype=np.float64)
+        v = np.empty(size, dtype=np.float64)
+        t[:n] = self._t[:n]
+        v[:n] = self._v[:n]
+        self._t, self._v = t, v
 
     # ------------------------------------------------------------------
     def append(self, t: float, v: float) -> None:
         """Add a sample; decimates by 2 when the cap is exceeded."""
         n = self._n
+        if n == len(self._t):
+            self._grow(n + 1)
         self._t[n] = t
         self._v[n] = v
         n += 1
@@ -90,6 +113,8 @@ class TimeSeries:
         start, total = 0, len(times)
         while start < total:
             k = min(cap + 1 - n, total - start)
+            if n + k > len(self._t):
+                self._grow(n + k)
             self._t[n:n + k] = times[start:start + k]
             self._v[n:n + k] = values[start:start + k]
             n += k
@@ -170,13 +195,11 @@ class TimeSeries:
         }
 
     def __setstate__(self, state) -> None:
+        # Exactly the samples: a decoded result grows only if appended to.
         self.max_points = state["max_points"]
-        self._t = np.empty(self.max_points + 1, dtype=np.float64)
-        self._v = np.empty(self.max_points + 1, dtype=np.float64)
-        n = len(state["times"])
-        self._t[:n] = state["times"]
-        self._v[:n] = state["values"]
-        self._n = n
+        self._t = np.array(state["times"], dtype=np.float64)
+        self._v = np.array(state["values"], dtype=np.float64)
+        self._n = len(self._t)
 
 
 class MetricsRecorder:

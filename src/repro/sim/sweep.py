@@ -355,14 +355,23 @@ class SweepCache:
                 pass
             return None
 
-    def put(self, key: str, result: CellResult) -> None:
-        """Store a result atomically (write-to-temp + rename, locked)."""
+    def put(self, key: str, result: Union[CellResult, bytes]) -> None:
+        """Store a result atomically (write-to-temp + rename, locked).
+
+        ``bytes`` are taken as the result already pickled: the runner
+        pickles each computed outcome once and writes those same bytes
+        to its journal and here.
+        """
         path = self._path(key)
         with self.lock:
             fd, tmp = tempfile.mkstemp(dir=str(self.directory), suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    if isinstance(result, bytes):
+                        fh.write(result)
+                    else:
+                        pickle.dump(result, fh,
+                                    protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -505,9 +514,25 @@ class SweepResult:
     #: count.  Out-of-band of the results -- excluded from equality.
     telemetry: Optional[obs.RunTelemetry] = field(
         default=None, repr=False, compare=False)
+    #: Protocol-4 pickles the runner already made for its journal or
+    #: cache, by cell index; :meth:`blobs` reuses them.
+    _pickled: Dict[int, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self) -> Iterator[Tuple[ScenarioCell, CellOutcome]]:
         return iter(zip(self.cells, self.results))
+
+    def blobs(self) -> List[bytes]:
+        """Each slot's outcome pickled with protocol 4, in spec order.
+
+        A slot the runner already pickled (a journal commit, a cache
+        write, a journal resume) reuses those bytes; the rest are
+        pickled here.  Either way the bytes are ``pickle.dumps(outcome,
+        protocol=4)``.
+        """
+        pickled = self._pickled
+        return [pickled.get(index) or pickle.dumps(outcome, protocol=4)
+                for index, outcome in enumerate(self.results)]
 
     @property
     def failures(self) -> List[Tuple[ScenarioCell, CellFailure]]:
@@ -706,6 +731,10 @@ class ScenarioRunner:
         if checkpoint_every_steps < 0:
             raise ValueError("checkpoint_every_steps must be non-negative")
         self.checkpoint_every_steps = checkpoint_every_steps
+        #: ``(spec, salt, keys)``: cell keys a caller already hashed for
+        #: that spec object under that salt (the service hashes a grid
+        #: once, for its job id), used instead of rehashing.
+        self._known_keys: Optional[Tuple[SweepSpec, str, List[str]]] = None
         #: Guards the per-cell state map behind :meth:`progress`.
         self._progress_lock = threading.Lock()
         self._cell_states: Dict[int, str] = {}
@@ -787,14 +816,13 @@ class ScenarioRunner:
                 f"header record)")
         head = records[0]["data"]
         spec: SweepSpec = pickle.loads(decode_blob(head["spec"]))
-        committed: Dict[int, CellResult] = {}
+        committed: Dict[int, bytes] = {}
         for record in records[1:]:
             # Other record types (``cell_start``, and the dispatch
             # records older journals carry) hold nothing to restore.
             if record["type"] == "cell_commit":
                 data = record["data"]
-                committed[data["index"]] = pickle.loads(
-                    decode_blob(data["result"]))
+                committed[data["index"]] = decode_blob(data["result"])
         with RunJournal(path) as live:
             return self._run(spec, journal=live, committed=committed,
                              salt=head["salt"])
@@ -858,8 +886,10 @@ class ScenarioRunner:
         return batch if len(batch) >= FLEET_MIN_ROWS else []
 
     def _run(self, spec: SweepSpec, journal: Optional[RunJournal],
-             committed: Dict[int, CellResult],
+             committed: Dict[int, bytes],
              salt: Optional[str]) -> SweepResult:
+        """Run ``spec``; ``committed`` maps the journal's committed cell
+        indices to their recorded result pickles."""
         run_started = time.perf_counter()
         stats = SimStats(workers=self.workers)
         stats.timeout_mechanism = choose_timeout_mechanism(
@@ -890,10 +920,26 @@ class ScenarioRunner:
             if self.cache is not None or journal is not None:
                 if salt is None:
                     salt = self._salt if self._salt is not None else code_salt()
-                keys = cell_keys(cells, salt)
+                known = self._known_keys
+                if (known is not None and known[0] is spec
+                        and known[1] == salt):
+                    keys = known[2]
+                else:
+                    keys = cell_keys(cells, salt)
             stats.expand_wall_s = time.perf_counter() - expand_started
 
             results: List[Optional[CellResult]] = [None] * len(cells)
+            # Each outcome is pickled (protocol 4) at most once: the
+            # journal commit, the cache entry and SweepResult.blobs()
+            # share these bytes.
+            pickled: Dict[int, bytes] = {}
+
+            def pickle_of(index: int, outcome: CellOutcome) -> bytes:
+                blob = pickled.get(index)
+                if blob is None:
+                    blob = pickled[index] = pickle.dumps(outcome, protocol=4)
+                return blob
+
             pending: List[ScenarioCell] = []
             cache_started = time.perf_counter()
             for cell in cells:
@@ -901,13 +947,14 @@ class ScenarioRunner:
                     # Journalled and durable: the recorded result is the
                     # result -- recomputing it is exactly what the
                     # write-ahead log exists to prevent.
-                    results[cell.index] = committed[cell.index]
+                    blob = pickled[cell.index] = committed[cell.index]
+                    result = results[cell.index] = pickle.loads(blob)
                     stats.cells_resumed += 1
                     self._set_state(cell.index, "resumed")
                     if observing:
-                        blob = getattr(committed[cell.index], "telemetry", None)
-                        if blob is not None:
-                            remote_blobs.append(blob)
+                        telemetry_blob = getattr(result, "telemetry", None)
+                        if telemetry_blob is not None:
+                            remote_blobs.append(telemetry_blob)
                     continue
                 if self.cache is not None:
                     hit = self.cache.get(keys[cell.index])  # type: ignore[arg-type]
@@ -959,8 +1006,7 @@ class ScenarioRunner:
                     ("cell_commit", {
                         "index": index,
                         "key": keys[index],
-                        "result": encode_blob(pickle.dumps(
-                            outcome, protocol=4)),
+                        "result": encode_blob(pickle_of(index, outcome)),
                     })
                     for index, outcome in commits)
                 for index, _ in commits:
@@ -1036,9 +1082,11 @@ class ScenarioRunner:
                         # without it so a later (possibly obs-off) run
                         # never replays another run's counters.
                         if getattr(result, "telemetry", None) is not None:
-                            result = dataclasses.replace(result,
-                                                         telemetry=None)
-                        self.cache.put(keys[index], result)  # type: ignore[arg-type]
+                            entry: Union[CellResult, bytes] = \
+                                dataclasses.replace(result, telemetry=None)
+                        else:
+                            entry = pickle_of(index, result)
+                        self.cache.put(keys[index], entry)  # type: ignore[arg-type]
                 stats.cache_wall_s += time.perf_counter() - cache_started
 
             stats.total_wall_s = time.perf_counter() - run_started
@@ -1064,6 +1112,8 @@ class ScenarioRunner:
                     telemetry = telemetry.merge(blob)
                 scope.close()
                 ob.export_telemetry(telemetry)
-        return SweepResult(cells=cells, results=list(results), stats=stats,  # type: ignore[arg-type]
-                           telemetry=telemetry)
+        swept = SweepResult(cells=cells, results=list(results),  # type: ignore[arg-type]
+                            stats=stats, telemetry=telemetry)
+        swept._pickled = pickled
+        return swept
 

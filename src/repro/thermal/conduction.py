@@ -13,7 +13,9 @@ rationale and DESIGN.md section 11 for the testing contract).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = ["substep_count", "stable_substep", "euler_conduction"]
 
@@ -51,7 +53,7 @@ def euler_conduction(
     injections: Sequence,
     links: Sequence[Tuple[int, int, float]],
     active: Sequence[Tuple[int, float]],
-    steps: int,
+    steps: Union[int, np.ndarray],
     h,
 ) -> List:
     """Advance node temperatures by ``steps`` Euler substeps of ``h``.
@@ -69,16 +71,27 @@ def euler_conduction(
     active:
         ``(index, heat_capacity)`` for non-boundary nodes.
     steps, h:
-        Substep count and length (``h`` may be a per-row array when the
-        columns are arrays).
+        Substep count and length.  When the columns are arrays, ``h``
+        may be per row, and so may ``steps``: each row then runs its
+        own count and is frozen once past it, ending bitwise where its
+        count alone would leave it (a count of 0 leaves the row
+        untouched).  The freeze costs ops only from the smallest count
+        on, so rows that share one count pay nothing for it.
     """
     temps = list(temps)
-    for _ in range(steps):
+    counts = steps if isinstance(steps, np.ndarray) else None
+    frozen_from = steps
+    if counts is not None:
+        steps = int(counts.max(initial=0))
+        frozen_from = int(counts.min(initial=0))
+    for s in range(steps):
         flows = list(injections)
         for ia, ib, g in links:
             q = g * (temps[ia] - temps[ib])
             flows[ia] = flows[ia] - q
             flows[ib] = flows[ib] + q
+        live = counts > s if s >= frozen_from else None
         for i, cap in active:
-            temps[i] = temps[i] + h * flows[i] / cap
+            new = temps[i] + h * flows[i] / cap
+            temps[i] = new if live is None else np.where(live, new, temps[i])
     return temps

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,3 +202,50 @@ class TestBulkLoad:
         with pytest.raises(ValueError):
             m.record_many("soc", [0.0], [])
         assert not m.has_series("soc")
+
+
+# ----------------------------------------------------------------------
+# Buffers hold what was recorded; pickles and decimation are unchanged
+# ----------------------------------------------------------------------
+class TestBufferGrowth:
+    @settings(max_examples=150, deadline=None)
+    @given(max_points=st.integers(1, 150),
+           head=st.lists(st.tuples(_finite, _finite), max_size=400),
+           tail=st.lists(st.tuples(_finite, _finite), max_size=400),
+           bulk_tail=st.booleans())
+    def test_unpickle_then_append_equals_uninterrupted(
+            self, max_points, head, tail, bulk_tail):
+        """A decoded series keeps recording exactly like the original:
+        runs up to 400 samples cross caps of 1-150 points many times."""
+        whole, first = TimeSeries(max_points), TimeSeries(max_points)
+        for t, v in head:
+            whole.append(t, v)
+            first.append(t, v)
+        resumed = pickle.loads(pickle.dumps(first))
+        assert pickle.dumps(resumed) == pickle.dumps(first)
+        for t, v in tail:
+            whole.append(t, v)
+        if bulk_tail:
+            resumed.extend(*_columns(tail))
+        else:
+            for t, v in tail:
+                resumed.append(t, v)
+        assert pickle.dumps(resumed) == pickle.dumps(whole)
+        assert len(resumed) <= max_points
+
+    def test_buffers_hold_the_samples_not_the_cap(self):
+        short = TimeSeries(max_points=4000)
+        for i in range(300):
+            short.append(float(i), 1.0)
+        assert len(short._t) == len(short._v) == 512
+        decoded = pickle.loads(pickle.dumps(short))
+        assert len(decoded._t) == len(decoded._v) == 300
+        loaded = TimeSeries(max_points=4000)
+        loaded.extend(np.arange(300.0), np.ones(300))
+        assert len(loaded._t) == 300
+
+    def test_growth_stops_at_the_cap_headroom(self):
+        ts = TimeSeries(max_points=100)
+        for i in range(1000):
+            ts.append(float(i), float(i))
+        assert len(ts._t) == 101
