@@ -8,8 +8,9 @@ same rows/series the paper reports, and asserts the qualitative
 The evaluation grids all run through the scenario-sweep engine
 (:mod:`repro.sim.sweep`).  Two environment knobs control it:
 
-* ``CAPMAN_SWEEP_WORKERS`` -- process fan-out for the grids
-  (default 1 = serial; 0 = one per CPU);
+* ``CAPMAN_SWEEP_WORKERS`` -- process fan-out for the cells the
+  in-process fleet batch does not take (default 1 = serial; 0 = one
+  per CPU; negative raises ``ValueError``);
 * ``CAPMAN_SWEEP_CACHE`` -- directory for the on-disk result cache
   (default unset = no caching; re-runs with a cache directory only
   recompute cells whose configuration or code changed).

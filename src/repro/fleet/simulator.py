@@ -36,7 +36,6 @@ Two structural tricks keep that contract watertight:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,31 +53,8 @@ from . import capman as _capman  # noqa: F401  (registers VectorCapmanDriver)
 
 __all__ = ["FleetSimulator"]
 
-#: Env var read by :meth:`FleetSimulator.run_sharded` when the caller
-#: does not pass an explicit shard count.
-SHARDS_ENV = "CAPMAN_FLEET_SHARDS"
-
 _BIG = BatterySelection.BIG
 _LITTLE = BatterySelection.LITTLE
-
-
-def _run_shard(devices):
-    """Worker body for :meth:`FleetSimulator.run_sharded`.
-
-    Rebuilds the shard from its ``DeviceSpec`` rows -- the exact
-    construction the parent performed, so results are bitwise those of
-    the corresponding rows of an unsharded run -- and returns the
-    results plus the shard's work counters.
-    """
-    from .spec import FleetSpec
-
-    sim = FleetSpec(list(devices)).build()
-    results = sim.run()
-    return results, {
-        "fallback_steps": sim.fallback_steps,
-        "table_compiles": sim.table_compiles,
-        "trajectory_dedupe_hits": sim.trajectory_dedupe_hits,
-    }
 
 
 def _can_serve(dep, maxp, tv, avail, p, dt):
@@ -137,8 +113,6 @@ class FleetSimulator:
         self._results: Optional[List[DischargeResult]] = None
         #: Rows replayed through the scalar fallback, for diagnostics.
         self.fallback_steps = 0
-        #: Counters merged back from worker shards (see run_sharded).
-        self._shard_counters: Dict[str, int] = {}
         self._counters_exported = False
 
     # ------------------------------------------------------------------
@@ -153,52 +127,6 @@ class FleetSimulator:
         self._export_counters()
         return self.results()
 
-    def run_sharded(self, shards: Optional[int] = None
-                    ) -> List[DischargeResult]:
-        """Row-shard the batch across worker processes.
-
-        Rows are independent (the hypothesis property suite proves it),
-        so each contiguous shard is rebuilt from its ``DeviceSpec``
-        rows inside a worker, run to completion, and the concatenated
-        results are byte-equal to :meth:`run`'s, row for row.
-
-        ``shards=None`` reads the ``CAPMAN_FLEET_SHARDS`` env var
-        (default 1); a count of 1 (or a single-row fleet) runs
-        :meth:`run` in-process.  Work counters (``fallback_steps``,
-        ``table_compiles``, ``trajectory_dedupe_hits``) are aggregated
-        from the shards -- note dedupe only applies *within* a shard,
-        so a sharded run may report fewer dedupe hits than an
-        in-process one.  The parent simulator's per-step state is left
-        untouched; only the results and counters come back.
-        """
-        if shards is None:
-            raw = os.environ.get(SHARDS_ENV, "1").strip() or "1"
-            shards = int(raw)
-        shards = max(1, min(int(shards), self.n))
-        if shards == 1:
-            return self.run()
-        if self._results is not None:
-            return self._results
-
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [tuple(self.spec.devices[int(i)] for i in idx)
-                  for idx in np.array_split(np.arange(self.n), shards)
-                  if len(idx)]
-        results: List[DischargeResult] = []
-        for key in ("fallback_steps", "table_compiles",
-                    "trajectory_dedupe_hits"):
-            self._shard_counters.setdefault(key, 0)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for shard_results, counters in pool.map(_run_shard, chunks):
-                results.extend(shard_results)
-                for key, value in counters.items():
-                    self._shard_counters[key] += value
-        self.fallback_steps += self._shard_counters.pop("fallback_steps")
-        self._results = results
-        self._export_counters()
-        return results
-
     @property
     def steps_total(self) -> int:
         """Device-steps executed so far (the throughput numerator)."""
@@ -207,24 +135,13 @@ class FleetSimulator:
     @property
     def table_compiles(self) -> int:
         """CAPMAN replan-boundary solves performed."""
-        return self._work_counter("table_compiles")
+        return sum(getattr(d, "table_compiles", 0) for d in self.drivers)
 
     @property
     def trajectory_dedupe_hits(self) -> int:
         """CAPMAN rows that shared another row's learned trajectory."""
-        return self._work_counter("trajectory_dedupe_hits")
-
-    def _work_counter(self, name: str) -> int:
-        """Driver work counter, attributed to whoever did the work.
-
-        After :meth:`run_sharded` the results came from the worker
-        shards, whose drivers did all the solving; the parent's own
-        (never-stepped) drivers would double-count -- their build-time
-        dedupe tally describes a batch that never ran.
-        """
-        if self._shard_counters:
-            return self._shard_counters.get(name, 0)
-        return sum(getattr(d, name, 0) for d in self.drivers)
+        return sum(getattr(d, "trajectory_dedupe_hits", 0)
+                   for d in self.drivers)
 
     def _export_counters(self) -> None:
         """Flush driver-mix/fallback counters to the obs registry.

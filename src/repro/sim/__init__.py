@@ -14,7 +14,6 @@ from .discharge import (
 )
 from .engine import ControlStep, iter_control_steps
 from .metrics import MetricsRecorder, TimeSeries
-from .retry import RetryPolicy
 from .sweep import (
     CellFailure,
     CellTimeoutError,
@@ -25,7 +24,7 @@ from .sweep import (
     SweepResult,
     SweepSpec,
 )
-from .executors import LocalProcessExecutor, SweepExecutor
+from .executors import LocalProcessExecutor
 
 # chaos depends on everything above; keep it last.
 from .chaos import (
@@ -51,14 +50,12 @@ __all__ = [
     "TimeSeries",
     "CellFailure",
     "CellTimeoutError",
-    "RetryPolicy",
     "ScenarioCell",
     "ScenarioRunner",
     "SimStats",
     "SweepCache",
     "SweepResult",
     "SweepSpec",
-    "SweepExecutor",
     "LocalProcessExecutor",
     "ChaosReport",
     "ChaosRow",

@@ -1,21 +1,21 @@
-"""Pluggable sweep executors: how scenario cells actually get run.
+"""The sweep executor: how the cells the fleet batch rejects get run.
 
 :class:`~repro.sim.sweep.ScenarioRunner` decides *what* to run (cache
-misses, journal replay, fleet batching); a :class:`SweepExecutor`
-decides *where and how*.  The interface is deliberately small:
+misses, journal replay, the fleet batch); a
+:class:`LocalProcessExecutor` runs the rest:
 
-* :meth:`SweepExecutor.attach` / :meth:`SweepExecutor.detach` bracket
-  one sweep and hand the executor its :class:`ExecutionContext`
-  (timeouts, checkpoint sidecars, retry policy, commit callback);
-* :meth:`SweepExecutor.submit` runs one cell to a final outcome --
-  a :data:`CellResult` or a contained :class:`CellFailure`;
-* :meth:`SweepExecutor.run` maps ``submit`` over a batch (backends
-  override it to fan out).
-
-:class:`LocalProcessExecutor` is the one shipped backend: serial
-in-process execution for one worker, ``ProcessPoolExecutor`` fan-out
-with killed-worker containment and retry/backoff above that.  It runs
-only the cells the runner's fleet batch did not take.
+* :meth:`LocalProcessExecutor.attach` /
+  :meth:`LocalProcessExecutor.detach` bracket one sweep and hand the
+  executor its :class:`ExecutionContext` (timeout, checkpoint
+  sidecars, commit callback);
+* :meth:`LocalProcessExecutor.submit` runs one cell in-process to a
+  final outcome -- a :data:`CellResult` or a contained
+  :class:`CellFailure`;
+* :meth:`LocalProcessExecutor.run` runs a batch: serially for one
+  worker, else over a ``ProcessPoolExecutor`` with killed-worker
+  containment.  A cell whose worker died is retried once
+  (:data:`MAX_CELL_ATTEMPTS`), at once, in an isolated single-cell
+  pool.
 
 This module also owns the cell-execution primitives (single attempt,
 sidecar checkpointing, per-cell timeout, failure capture) -- a pool
@@ -41,7 +41,6 @@ from .. import obs
 from ..durability.deadline import DeadlineExceededError, thread_deadline
 from ..durability.snapshot import Checkpointer, SimCheckpoint
 from ..durability.state import StateMismatchError
-from .retry import DEFAULT_RETRY, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .daily import MultiDayResult
@@ -52,14 +51,19 @@ __all__ = [
     "CellFailure",
     "CellTimeoutError",
     "ExecutionContext",
-    "SweepExecutor",
     "LocalProcessExecutor",
+    "MAX_CELL_ATTEMPTS",
     "timed_cell",
     "choose_timeout_mechanism",
 ]
 
 #: Result type of a single scenario cell.
 CellResult = Union["DischargeResult", "MultiDayResult"]
+
+#: Attempts a pooled cell gets when its worker process dies: the first
+#: run plus one immediate retry in a single-cell pool.  Exceptions
+#: raised *inside* a cell are deterministic and never retried.
+MAX_CELL_ATTEMPTS = 2
 
 
 class CellTimeoutError(DeadlineExceededError):
@@ -283,15 +287,15 @@ def timed_cell(
 
 
 # ----------------------------------------------------------------------
-# Executor interface
+# The executor
 # ----------------------------------------------------------------------
 @dataclass
 class ExecutionContext:
-    """Everything a backend needs to run one sweep's pending cells.
+    """Everything the executor needs to run one sweep's pending cells.
 
     Built by :class:`~repro.sim.sweep.ScenarioRunner` and handed to
-    :meth:`SweepExecutor.attach`; immutable for the duration of one
-    sweep.
+    :meth:`LocalProcessExecutor.attach`; immutable for the duration of
+    one sweep.
     """
 
     #: Per-cell wall-clock budget (None = unbounded).
@@ -300,18 +304,13 @@ class ExecutionContext:
     ckpts: Dict[int, str] = field(default_factory=dict)
     #: In-cell sidecar checkpoint cadence in control steps.
     checkpoint_every_steps: int = 0
-    #: Retry/backoff schedule for infrastructure failures.
-    retry: RetryPolicy = DEFAULT_RETRY
-    #: Pool width hint (the runner's ``workers``).
-    workers: int = 1
     #: Whether an observability session is active in the parent.
     obs_enabled: bool = False
     #: Durable-commit callback: called exactly once per cell index
     #: with its final outcome, as it lands (journal commits ride on
     #: this).
     on_final: Optional[Callable[[int, CellOutcome], None]] = None
-    #: The sweep's stats object; backends add their retry/backoff
-    #: accounting to it.
+    #: The sweep's stats object; the pool adds its retries to it.
     stats: Any = None
     #: Dispatch callback: called when a cell is handed to a worker
     #: (pool submit, serial pickup) so an external poller can
@@ -327,33 +326,26 @@ class ExecutionContext:
         if self.on_start is not None:
             self.on_start(index)
 
-    def count_retry(self, wait_s: float) -> None:
-        """Account one retry (and its backoff wait) on stats + obs."""
-        if self.stats is not None:
-            self.stats.cell_retries += 1
-            self.stats.backoff_wait_s += wait_s
-        ob = obs.session()
-        if ob is not None:
-            reg = ob.registry
-            reg.counter("sweep.retries").inc()
-            if wait_s > 0.0:
-                reg.counter("sweep.backoff_wait_s").inc(wait_s)
 
+class LocalProcessExecutor:
+    """Runs cells serially in-process or over a ``ProcessPoolExecutor``.
 
-class SweepExecutor:
-    """Interface every sweep backend implements.
-
-    The base class provides a serial reference implementation of
-    :meth:`run` in terms of :meth:`submit`; backends override what
-    they accelerate.  An executor instance is reusable across sweeps
-    but never concurrently: ``attach`` / ``detach`` bracket one sweep.
+    ``workers=1`` (or a single-cell batch) runs cells serially
+    in-process; anything wider fans out over a
+    ``ProcessPoolExecutor``, with killed-worker containment,
+    single-cell quarantine pools after a pool breakage, and
+    byte-identical results for any worker count.  An instance is
+    reusable across sweeps but never concurrently: ``attach`` /
+    ``detach`` bracket one sweep.
     """
 
-    #: Human-readable backend name (also the SimStats/obs tag).
-    name = "base"
+    #: Human-readable executor name (also the SimStats tag).
+    name = "local"
 
-    def __init__(self) -> None:
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = max(1, workers)
         self._ctx: Optional[ExecutionContext] = None
+        self._blobs: List[obs.RunTelemetry] = []
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, ctx: ExecutionContext) -> None:
@@ -361,6 +353,7 @@ class SweepExecutor:
         if self._ctx is not None:
             raise RuntimeError(f"{type(self).__name__} is already attached")
         self._ctx = ctx
+        self._blobs = []
 
     def detach(self) -> None:
         """Release the sweep binding (idempotent)."""
@@ -375,7 +368,7 @@ class SweepExecutor:
 
     # -- execution -----------------------------------------------------
     def submit(self, cell: "ScenarioCell") -> CellItem:
-        """Run one cell to a final outcome (result or CellFailure)."""
+        """Run one cell in-process to a final outcome."""
         ctx = self.ctx
         ctx.started(cell.index)
         item = timed_cell(cell, ctx.cell_timeout_s,
@@ -385,49 +378,18 @@ class SweepExecutor:
         return item
 
     def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
-        """Run a batch of cells; default maps :meth:`submit` serially."""
-        return [self.submit(cell) for cell in cells]
-
-    # -- introspection -------------------------------------------------
-    def remote_blobs(self) -> List[obs.RunTelemetry]:
-        """Telemetry blobs of cells computed *outside* this process.
-
-        In-process cells merge their scopes into the live session
-        directly; only out-of-process results carry blobs that the
-        runner must fold in.  Drained (and reset) by the runner after
-        :meth:`run`.
-        """
-        return []
-
-
-class LocalProcessExecutor(SweepExecutor):
-    """The historic in-repo backend: serial or ProcessPoolExecutor.
-
-    ``workers=1`` (or a single-cell batch) runs cells serially
-    in-process; anything wider fans out over a
-    ``ProcessPoolExecutor``.  Behaviour -- including killed-worker
-    containment, single-cell quarantine pools after a pool breakage,
-    and byte-identical results for any worker count -- is exactly the
-    pre-extraction ``ScenarioRunner`` logic.
-    """
-
-    name = "local"
-
-    def __init__(self, workers: int = 1) -> None:
-        super().__init__()
-        self.workers = max(1, workers)
-        self._blobs: List[obs.RunTelemetry] = []
-
-    def attach(self, ctx: ExecutionContext) -> None:
-        super().attach(ctx)
-        self._blobs = []
-
-    def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
+        """Run a batch of cells; results come back in batch order."""
         if self.workers <= 1 or len(cells) <= 1:
             return [self.submit(cell) for cell in cells]
         return self._run_pool(cells)
 
     def remote_blobs(self) -> List[obs.RunTelemetry]:
+        """Telemetry blobs of cells computed in pool workers.
+
+        In-process cells merge their scopes into the live session
+        directly; only pooled results carry blobs that the runner must
+        fold in.  Drained (and reset) by the runner after :meth:`run`.
+        """
         blobs, self._blobs = self._blobs, []
         return blobs
 
@@ -440,13 +402,12 @@ class LocalProcessExecutor(SweepExecutor):
         only way a future raises here is infrastructure failure -- the
         worker process died (OOM-kill, segfault, ``os._exit``), which
         breaks the whole pool and poisons every in-flight future.
-        Those cells are retried -- after the retry policy's backoff --
-        in fresh *single-cell* pools, so a cell that reliably kills
-        its worker exhausts only its own attempt budget while the
-        innocent bystanders complete.
+        Those cells are retried at once in fresh *single-cell* pools,
+        up to :data:`MAX_CELL_ATTEMPTS`, so a cell that reliably kills
+        its worker exhausts only its own attempts while the innocent
+        bystanders complete.
         """
         ctx = self.ctx
-        retry_policy = ctx.retry
         outcomes: Dict[int, CellItem] = {}
         attempts: Dict[int, int] = {cell.index: 0 for cell in pending}
         # Propagate the parent's observability switch into workers so
@@ -474,7 +435,7 @@ class LocalProcessExecutor(SweepExecutor):
                             index, outcome, elapsed, steps = future.result()
                         except Exception as exc:
                             attempts[cell.index] += 1
-                            if not retry_policy.allows(attempts[cell.index]):
+                            if attempts[cell.index] >= MAX_CELL_ATTEMPTS:
                                 failure = CellFailure(
                                     label=cell.label,
                                     error_type=type(exc).__name__,
@@ -485,9 +446,8 @@ class LocalProcessExecutor(SweepExecutor):
                                                         0.0, 0)
                                 ctx.finalise(cell.index, failure)
                             else:
-                                wait = retry_policy.sleep(
-                                    attempts[cell.index], token=cell.label)
-                                ctx.count_retry(wait)
+                                if ctx.stats is not None:
+                                    ctx.stats.cell_retries += 1
                                 retry.append(cell)
                             continue
                         if (isinstance(outcome, CellFailure)

@@ -8,10 +8,11 @@ that implicit pattern into an explicit engine:
 
 * :class:`SweepSpec` declares the grid and expands it into
   :class:`ScenarioCell` rows in a deterministic order;
-* :class:`ScenarioRunner` executes the cells -- serially, fanned out
-  over a ``ProcessPoolExecutor``, or, for a big enough in-process
-  batch, as rows of one vectorised fleet simulation -- with results
-  returned in spec order and identical on every path;
+* :class:`ScenarioRunner` executes the cells -- a big enough batch of
+  fleet-supported cells as rows of one in-process vectorised fleet
+  simulation, the rest serially or fanned out over a
+  ``ProcessPoolExecutor`` -- with results returned in spec order and
+  identical on every path;
 * an optional on-disk cache keyed by a content hash of the scenario
   configuration plus a code-version salt lets a re-run recompute only
   the cells whose inputs actually changed;
@@ -20,7 +21,7 @@ that implicit pattern into an explicit engine:
 * failures are contained per cell: a raising cell (or one that blows
   its per-cell timeout) comes back as a :class:`CellFailure` carrying
   the traceback, and a killed worker (``BrokenProcessPool``) triggers
-  bounded retries in isolated single-cell pools -- the rest of the
+  one retry in an isolated single-cell pool -- the rest of the
   grid always completes, and failed cells are never cached;
 * an optional write-ahead run journal
   (:class:`~repro.durability.journal.RunJournal`) makes the sweep
@@ -60,9 +61,7 @@ from ..workload.traces import Trace
 from .daily import MultiDayResult
 from .discharge import DischargeResult, SchedulingPolicy
 from .executors import (CellFailure, CellTimeoutError, ExecutionContext,
-                        LocalProcessExecutor, SweepExecutor,
-                        choose_timeout_mechanism)
-from .retry import DEFAULT_RETRY, RetryPolicy
+                        LocalProcessExecutor, choose_timeout_mechanism)
 
 __all__ = [
     "ScenarioCell",
@@ -74,7 +73,6 @@ __all__ = [
     "ScenarioRunner",
     "CellFailure",
     "CellTimeoutError",
-    "RetryPolicy",
 ]
 
 #: Result type of a single scenario cell.
@@ -419,8 +417,6 @@ class SimStats:
     cache_wall_s: float = 0.0
     #: End-to-end wall time of ``ScenarioRunner.run`` (s).
     total_wall_s: float = 0.0
-    #: Backoff wall time spent waiting between retry attempts (s).
-    backoff_wait_s: float = 0.0
     workers: int = 1
     #: Executor backend that ran the pending cells ("local", or a
     #: custom executor's name; "none" when no executor ran because every
@@ -613,11 +609,6 @@ def _run_fleet_batch(
     meaningful.  Returns None if the batch raised: batching is an
     optimisation, never a new failure mode, so the caller reruns the
     cells on the scalar engine and counts the fallback.
-
-    The batch honours the ``CAPMAN_FLEET_SHARDS`` env var: with a
-    count above 1 the fleet row-shards across worker processes
-    (:meth:`~repro.fleet.FleetSimulator.run_sharded`), with results
-    byte-equal to the single-process run.
     """
     from ..fleet import DeviceSpec, FleetSpec
 
@@ -630,7 +621,7 @@ def _run_fleet_batch(
                        ambient_c=cell.ambient_c,
                        record_every=cell.record_every)
             for cell in cells])
-        results = spec.build().run_sharded()
+        results = spec.build().run()
     except Exception:
         _log.warning("fleet batch of %d cells failed; rerunning them on "
                      "the scalar engine", len(cells), exc_info=True)
@@ -646,9 +637,11 @@ class ScenarioRunner:
     Parameters
     ----------
     workers:
-        Process count; ``None`` or 1 runs serially in-process,  ``0``
-        means ``os.cpu_count()``.  Results are returned in spec order
-        and are identical for every worker count.
+        Process fan-out for the cells the fleet batch does not take;
+        ``None`` or 1 runs them serially in-process, ``0`` means
+        ``os.cpu_count()``, and a negative count raises
+        ``ValueError``.  Results are returned in spec order and are
+        identical for every worker count.
     cache:
         A :class:`SweepCache`, a directory path for one, or ``None``
         to disable caching.  Failed cells are never cached.
@@ -674,34 +667,28 @@ class ScenarioRunner:
         cells (0 disables in-cell checkpoints; commit-level durability
         still applies).  For "daily" sweeps checkpoints land at day
         boundaries regardless of cadence.
-    retry:
-        The :class:`~repro.sim.retry.RetryPolicy` (max attempts,
-        exponential backoff, deterministic seeded jitter) governing
-        infrastructure retries: a cell whose *worker died*
-        (``BrokenProcessPool``) reruns in an isolated single-cell pool
-        so a crash-looping cell cannot take healthy cells down with
-        it.  Exceptions raised *inside* a cell are deterministic
-        simulator failures and are reported immediately without retry.
-        The default allows one immediate retry, with no waiting.
     executor:
-        A :class:`~repro.sim.executors.SweepExecutor` backend, or
-        ``None`` for the default
-        :class:`~repro.sim.executors.LocalProcessExecutor` (serial /
-        process-pool, governed by ``workers``).  A custom executor
-        turns the fleet batch off: every pending cell goes to it.
+        A :class:`~repro.sim.executors.LocalProcessExecutor` (or a
+        subclass) to run the pending cells, or ``None`` for one built
+        from ``workers``.  An explicit executor turns the fleet batch
+        off: every pending cell goes to it, which is how tests force
+        the scalar oracle.
 
-    Engine choice is automatic.  When the runner executes in-process
-    (no ``executor``, one worker), no per-cell bound is set
-    (``cell_timeout_s`` is None), journalled cells write no sidecar
-    checkpoints (``checkpoint_every_steps`` is 0) and obs is off, the
-    pending fleet-supported discharge cells run as one vectorised
+    A cell whose pool worker died is retried once, in an isolated
+    single-cell pool (:data:`~repro.sim.executors.MAX_CELL_ATTEMPTS`);
+    exceptions raised *inside* a cell are never retried.
+
+    Engine choice is automatic.  When no ``executor`` is passed, no
+    per-cell bound is set (``cell_timeout_s`` is None), journalled
+    cells write no sidecar checkpoints (``checkpoint_every_steps`` is
+    0) and obs is off, the pending fleet-supported discharge cells run
+    in this process as one vectorised
     :class:`repro.fleet.FleetSimulator` batch -- provided there are at
-    least :data:`FLEET_MIN_ROWS` of them.  Their
-    results are bit-for-bit the scalar ones; every other cell runs on
-    the scalar engine, which stays the oracle.  ``SimStats.cells_fleet``
-    and ``SimStats.fleet_fallbacks`` count the choice.  Setting the
-    ``CAPMAN_FLEET_SHARDS`` env var above 1 row-shards each fleet batch
-    across worker processes (results unchanged, byte for byte).
+    least :data:`FLEET_MIN_ROWS` of them.  Their results are
+    bit-for-bit the scalar ones; every other cell runs on the scalar
+    engine, which stays the oracle.  ``SimStats.cells_fleet`` and
+    ``SimStats.fleet_fallbacks`` count the choice.  ``workers`` never
+    turns the fleet off: it fans out only the cells the fleet left.
     """
 
     def __init__(
@@ -712,17 +699,17 @@ class ScenarioRunner:
         cell_timeout_s: Optional[float] = None,
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
-        retry: RetryPolicy = DEFAULT_RETRY,
-        executor: Optional[SweepExecutor] = None,
+        executor: Optional[LocalProcessExecutor] = None,
     ) -> None:
+        if workers is not None and workers < 0:
+            raise ValueError("workers must be non-negative")
         if workers == 0:
             workers = os.cpu_count() or 1
-        self.workers = max(1, workers or 1)
+        self.workers = workers or 1
         if cache is not None and not isinstance(cache, SweepCache):
             cache = SweepCache(cache)
         self.cache = cache
         self._salt = salt
-        self.retry = retry
         self.cell_timeout_s = cell_timeout_s
         self.executor = executor
         self.journal = Path(journal) if journal is not None else None
@@ -863,7 +850,7 @@ class ScenarioRunner:
         which can be slow, so it runs once per distinct policy object,
         and each rejected policy's reason is logged once.
         """
-        if (self.executor is not None or self.workers != 1
+        if (self.executor is not None
                 or self.cell_timeout_s is not None
                 or (journal is not None and self.checkpoint_every_steps)
                 or observing or len(pending) < FLEET_MIN_ROWS):
@@ -1045,8 +1032,6 @@ class ScenarioRunner:
                     cell_timeout_s=self.cell_timeout_s,
                     ckpts=ckpts,
                     checkpoint_every_steps=self.checkpoint_every_steps,
-                    retry=self.retry,
-                    workers=self.workers,
                     obs_enabled=observing,
                     on_final=lambda index, outcome: _finalise(
                         [(index, outcome)]),
@@ -1098,12 +1083,7 @@ class ScenarioRunner:
                 sweep_span.finish()
                 reg = scope.registry
                 for name, value in stats.as_dict().items():
-                    # backoff_wait_s (and sweep.retries) are counted
-                    # live by ExecutionContext.count_retry at retry
-                    # time; exporting the stats field again would
-                    # double-count them.
-                    if (name in ("workers", "steps_per_sec",
-                                 "backoff_wait_s")
+                    if (name in ("workers", "steps_per_sec")
                             or not isinstance(value, (int, float))):
                         continue
                     reg.counter(f"sweep.{name}").inc(value)

@@ -1,4 +1,4 @@
-"""Tests for the SweepExecutor interface and the per-cell timeout
+"""Tests for the LocalProcessExecutor interface and the per-cell timeout
 mechanism surfacing (no more silent degradation off the main thread)."""
 
 import threading
@@ -8,7 +8,7 @@ import pytest
 
 from repro.capman.baselines import DualPolicy
 from repro.sim.executors import (CellFailure, ExecutionContext,
-                                 LocalProcessExecutor, SweepExecutor,
+                                 LocalProcessExecutor,
                                  choose_timeout_mechanism, timed_cell)
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
@@ -32,7 +32,7 @@ def _spec(trace, **kwargs):
 
 class TestInterface:
     def test_attach_detach_lifecycle(self):
-        ex = SweepExecutor()
+        ex = LocalProcessExecutor()
         with pytest.raises(RuntimeError):
             _ = ex.ctx  # unattached
         ctx = ExecutionContext()
@@ -47,7 +47,7 @@ class TestInterface:
 
     def test_base_executor_runs_cells_and_finalises(self, trace):
         committed = []
-        ex = SweepExecutor()
+        ex = LocalProcessExecutor()
         ex.attach(ExecutionContext(
             on_final=lambda index, outcome: committed.append(index)))
         cells = _spec(trace).expand()

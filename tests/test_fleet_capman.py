@@ -1,12 +1,12 @@
-"""CAPMAN-specific fleet machinery: trajectory dedupe, sharding, counters.
+"""CAPMAN-specific fleet machinery: trajectory dedupe and counters.
 
 ``tests/test_fleet_vs_scalar.py`` proves the vectorised CAPMAN driver
 bit-equal to the scalar oracle; this module pins down the *mechanisms*
 behind that speed -- rows with matching (trace content, profile,
 learning parameters) must share one learned trajectory and still equal
-their independent scalar runs, ``run_sharded`` must be a pure row
-partition, and the work counters must surface through the obs registry
-without disturbing any result.
+their independent scalar runs, a served-shaped sweep must equal the
+scalar oracle, and the work counters must surface through the obs
+registry without disturbing any result.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.capman.baselines import DualPolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, NEXUS
 from repro.fleet import DeviceSpec, FleetSpec
-from repro.fleet.simulator import SHARDS_ENV
 from repro.sim.discharge import run_discharge_cycle
 from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import ScenarioRunner, SweepSpec
@@ -182,61 +181,11 @@ def test_dedupe_equals_independent_trajectories(clones):
 
 
 # ----------------------------------------------------------------------
-# Sharded execution
+# Sweep integration
 # ----------------------------------------------------------------------
-def _hetero_devices():
-    return [
-        _device(VARIANTS["eager"](), profile=NEXUS),
-        _device(VARIANTS["eager"](), profile=HONOR),
-        _device(VARIANTS["replan"]()),
-        _device(DualPolicy(capacity_mah=CAPACITY_MAH)),
-    ]
-
-
-def test_run_sharded_matches_run_rowwise():
-    plain = FleetSpec(_hetero_devices()).build().run()
-    sharded_sim = FleetSpec(_hetero_devices()).build()
-    sharded = sharded_sim.run_sharded(shards=2)
-    assert len(sharded) == len(plain)
-    for mine, theirs in zip(sharded, plain):
-        assert _frozen(mine) == _frozen(theirs)
-    # Work counters come back from the worker shards.
-    assert sharded_sim.table_compiles > 0
-
-
-def test_run_sharded_counters_come_from_shards_only():
-    """After a sharded run the work counters describe the shards' work:
-    4 clones over 2 shards dedupe once per shard (2 hits, not the
-    in-process 3, and never 3+2 from double-counting the parent's
-    never-run drivers), and each shard solves its own tables."""
-    n = 4
-    solo_sim = FleetSpec(
-        [_device(CapmanPolicy(capacity_mah=CAPACITY_MAH))]).build()
-    solo_sim.run()
-
-    sim = FleetSpec([_device(CapmanPolicy(capacity_mah=CAPACITY_MAH))
-                     for _ in range(n)]).build()
-    sim.run_sharded(shards=2)
-    assert sim.trajectory_dedupe_hits == 2
-    assert sim.table_compiles == 2 * solo_sim.table_compiles
-
-
-def test_run_sharded_honours_env_var(monkeypatch):
-    monkeypatch.setenv(SHARDS_ENV, "2")
-    plain = FleetSpec(_hetero_devices()).build().run()
-    sharded = FleetSpec(_hetero_devices()).build().run_sharded()
-    for mine, theirs in zip(sharded, plain):
-        assert _frozen(mine) == _frozen(theirs)
-
-
-def test_run_sharded_one_shard_is_in_process(monkeypatch):
-    monkeypatch.setenv(SHARDS_ENV, "1")
-    sim = FleetSpec(_hetero_devices()).build()
-    assert [_frozen(r) for r in sim.run_sharded()] == \
-        [_frozen(r) for r in FleetSpec(_hetero_devices()).build().run()]
-
-
-def test_sweep_fleet_backend_honours_shards_env(monkeypatch):
+def test_sweep_fleet_backend_honours_shards_env():
+    """A served-shaped 16-cell sweep takes the in-process fleet batch
+    and equals the scalar oracle cell for cell."""
     spec = SweepSpec(
         policies={"capman": CapmanPolicy(capacity_mah=CAPACITY_MAH),
                   "dual": DualPolicy(capacity_mah=CAPACITY_MAH)},
@@ -248,7 +197,6 @@ def test_sweep_fleet_backend_honours_shards_env(monkeypatch):
     )
     scalar = ScenarioRunner(
         workers=1, executor=LocalProcessExecutor(1)).run(spec)
-    monkeypatch.setenv(SHARDS_ENV, "2")
     fleet = ScenarioRunner(workers=1).run(spec)
     assert fleet.stats.cells_fleet == 16
     assert len(fleet.results) == len(scalar.results) == 16

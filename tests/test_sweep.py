@@ -1,5 +1,6 @@
 """Tests for the parallel scenario-sweep engine."""
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -9,11 +10,14 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.battery.aging import AgingModel
 from repro.capman.baselines import DualPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, NEXUS
+from repro.sim import sweep as sweep_module
 from repro.sim.daily import MultiDayResult
+from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import (
     CellFailure,
     CellTimeoutError,
@@ -75,6 +79,36 @@ def _spec(trace, capacity=40.0, **kwargs):
 
 def _cell_bytes(result):
     return [pickle.dumps(r) for r in result.results]
+
+
+@dataclasses.dataclass
+class _MixedSpec(SweepSpec):
+    """A discharge grid followed by the cells of a daily grid."""
+
+    daily: SweepSpec = None
+
+    def expand(self):
+        cells = super().expand()
+        return cells + [dataclasses.replace(cell, index=len(cells) + cell.index)
+                        for cell in self.daily.expand()]
+
+    def __len__(self):
+        return super().__len__() + len(self.daily)
+
+
+def _mixed_spec(trace):
+    """16 fleet-supported discharge cells plus 2 daily cells."""
+    daily = _spec(trace, capacity=60.0, kind="daily",
+                  max_duration_s=6 * 3600.0, extra={"n_days": 1})
+    return _MixedSpec(
+        policies={"Dual": DualPolicy(capacity_mah=40.0),
+                  "Practice": PracticePolicy(capacity_mah=80.0)},
+        traces={"Video": trace},
+        profiles={"Nexus": NEXUS, "Honor": HONOR},
+        ambients_c=(20.0, 25.0, 30.0, 35.0),
+        max_duration_s=900.0,
+        daily=daily,
+    )
 
 
 class TestSpec:
@@ -185,6 +219,49 @@ class TestParallelEqualsSerial:
         a = ScenarioRunner(workers=1).run(spec)
         b = ScenarioRunner(workers=1).run(spec)
         assert _cell_bytes(a) == _cell_bytes(b)
+
+    def test_workers_fan_out_only_what_the_fleet_rejects(self, trace,
+                                                         monkeypatch):
+        """``workers`` never turns the fleet off: the discharge cells
+        take the in-process fleet batch and only the daily cells reach
+        the process pool, with results equal to the serial run."""
+        spec = _mixed_spec(trace)
+        pooled = []
+        run_pool = LocalProcessExecutor._run_pool
+
+        def recording_run_pool(self, cells):
+            pooled.append([cell.index for cell in cells])
+            return run_pool(self, cells)
+
+        monkeypatch.setattr(LocalProcessExecutor, "_run_pool",
+                            recording_run_pool)
+        serial = ScenarioRunner(workers=1).run(spec)
+        assert pooled == []
+        parallel = ScenarioRunner(workers=2).run(spec)
+        n_discharge = len(spec) - len(spec.daily)
+        assert n_discharge >= 16
+        assert parallel.stats.cells_fleet == n_discharge
+        assert pooled == [list(range(n_discharge, len(spec)))]
+        assert all(isinstance(r, MultiDayResult)
+                   for r in parallel.results[n_discharge:])
+        assert _cell_bytes(parallel) == _cell_bytes(serial)
+
+    def test_failed_fleet_batch_falls_back_to_the_pool(self, trace,
+                                                       monkeypatch):
+        spec = _mixed_spec(trace)
+        serial = ScenarioRunner(workers=1).run(spec)
+        monkeypatch.setattr(sweep_module, "_run_fleet_batch",
+                            lambda cells: None)
+        parallel = ScenarioRunner(workers=2).run(spec)
+        assert parallel.stats.fleet_fallbacks == 1
+        assert parallel.stats.cells_fleet == 0
+        assert not parallel.failures
+        assert _cell_bytes(parallel) == _cell_bytes(serial)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            ScenarioRunner(workers=-1)
+        assert ScenarioRunner(workers=0).workers == (os.cpu_count() or 1)
 
     def test_policy_template_not_mutated(self, trace):
         spec = _spec(trace)
@@ -343,6 +420,18 @@ class TestFailureContainment:
                 == pickle.dumps(alone.get(policy="Good")))
         assert (pickle.dumps(out.get(policy="AlsoGood"))
                 == pickle.dumps(alone.get(policy="AlsoGood")))
+
+    def test_killed_worker_retry_counted_on_stats_and_obs(self, trace):
+        spec = self._mixed_spec(trace, WorkerKillerPolicy(capacity_mah=40.0))
+        obs.configure(enabled=True)
+        try:
+            out = ScenarioRunner(workers=2).run(spec)
+        finally:
+            obs.disable()
+        assert out.stats.cell_retries >= 1
+        assert (out.telemetry.counter("sweep.cell_retries")
+                == out.stats.cell_retries)
+        assert "sweep.retries" not in out.telemetry.counters
 
     def test_cell_timeout_reported(self, trace):
         spec = self._mixed_spec(trace, SlowPolicy(capacity_mah=40.0))
