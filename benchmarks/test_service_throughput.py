@@ -1,14 +1,17 @@
 """Service throughput: the HTTP job path priced honestly.
 
-Runs a small Dual-policy grid twice -- cold serial in-process, then
-submitted as JSON to an in-process :class:`CapmanService` over real
-HTTP and polled to completion -- and merges a ``"service"`` section
-into ``BENCH_sim.json`` for ``scripts/bench_gate.py`` (alongside the
-sweep and fleet sections).
+Runs a 96-cell Dual-policy grid twice -- cold serial in-process on the
+scalar engine, then submitted as JSON to an in-process
+:class:`CapmanService` over real HTTP and polled to completion -- and
+merges a ``"service"`` section into ``BENCH_sim.json`` for
+``scripts/bench_gate.py`` (alongside the sweep and fleet sections).
 
-The point is not a speedup figure: on a grid this small the HTTP
-round-trips, journalling and status polling dominate.  The section
-pins what the service must never regress on:
+The grid is large enough (at least ``FLEET_MIN_ROWS`` fleet-eligible
+cells) that the served job runs as one fleet batch, so the timed rate
+tracks the engine rather than HTTP round-trips and status polling;
+``cells_fleet`` is gated exactly so a grid that silently fell back to
+the scalar path fails the gate.  The section pins what the service
+must never regress on:
 
 * exactly-once accounting -- ``failed_cells`` and ``double_commits``
   are exact-zero gated fields, audited from the job's run journal;
@@ -19,8 +22,10 @@ pins what the service must never regress on:
 * a relative throughput floor on ``steps_per_sec`` so API overhead
   (framing, WAL fsyncs, poll loops) cannot silently balloon.
 
-Deterministic work accounting (``cells_total``, ``steps_total``) is
-gated exactly; rates relatively.
+Deterministic work accounting (``cells_total``, ``cells_fleet``,
+``steps_total``) is gated exactly; rates relatively.  The serial
+reference passes an explicit executor, which keeps it off the fleet,
+so ``serial_steps_per_sec`` stays the scalar engine's rate.
 """
 
 import base64
@@ -32,13 +37,16 @@ import urllib.request
 from pathlib import Path
 
 from repro.analysis.reporting import format_table
+from repro.durability.journal import journal_commit_counts
 from repro.service import CapmanService, parse_spec
-from repro.sim.chaos import journal_commit_counts
-from repro.sim.sweep import ScenarioRunner
+from repro.sim.executors import LocalProcessExecutor
+from repro.sim.sweep import FLEET_MIN_ROWS, ScenarioRunner
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
-CAPACITIES = (300.0, 400.0, 500.0)
+CAPACITIES = (300.0, 350.0, 400.0, 450.0, 500.0, 550.0, 600.0, 650.0)
+PROFILES = ["Nexus", "Honor", "Lenovo"]
+AMBIENTS_C = [20.0, 25.0, 30.0, 35.0]
 TRACE_S = 300.0
 WINDOW_S = 1800.0
 SEED = 1
@@ -52,6 +60,8 @@ GRID = {
     },
     "traces": {"video": {"workload": "video", "seed": SEED,
                          "duration_s": TRACE_S}},
+    "profiles": PROFILES,
+    "ambients_c": AMBIENTS_C,
     "max_duration_s": WINDOW_S,
 }
 
@@ -75,7 +85,7 @@ def _measure(tmp_path):
     spec = parse_spec(GRID)
 
     t0 = time.perf_counter()
-    serial = ScenarioRunner(workers=1).run(spec)
+    serial = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
     serial_wall = time.perf_counter() - t0
 
     root = tmp_path / "service-bench"
@@ -124,6 +134,7 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
     counts = journal_commit_counts(journal)
     double_commits = sum(1 for n in counts.values() if n > 1)
     failed_cells = status["stats"]["cells_failed"]
+    cells_fleet = status["stats"]["cells_fleet"]
 
     steps_total = sum(r.step_count for r in serial.results)
     serial_rate = steps_total / max(serial_wall, 1e-9)
@@ -143,6 +154,7 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
 
     section = {
         "cells_total": len(spec),
+        "cells_fleet": cells_fleet,
         "steps_total": steps_total,
         "deduped_jobs": deduped,
         "failed_cells": failed_cells,
@@ -164,6 +176,8 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
     # byte-identical to the serial engine, committed exactly once, and
     # the resubmission never re-entered the queue.
     assert served == [pickle.dumps(r, protocol=4) for r in serial.results]
+    assert serial.stats.cells_fleet == 0, serial.stats
+    assert len(spec) >= FLEET_MIN_ROWS and cells_fleet == len(spec), section
     assert sorted(counts) == [cell.index for cell in spec.expand()]
     assert double_commits == 0, section
     assert failed_cells == 0, section

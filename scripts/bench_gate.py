@@ -19,8 +19,8 @@ three rules, driven by one table (:data:`SECTIONS`):
   section pins its HTTP job path's robustness invariants --
   ``failed_cells`` and ``double_commits`` are exact-zero in the
   baseline, so any failed or double-committed cell fails the gate as a
-  correctness regression, not a perf one -- and content-hash dedupe
-  (``deduped_jobs``).
+  correctness regression, not a perf one -- the engine that served it
+  (``cells_fleet``) and content-hash dedupe (``deduped_jobs``).
 * **Throughput holds within a tolerance.**  Each section's rate field
   must stay above ``tolerance x baseline`` (default 0.5x, i.e. flag a
   2x slowdown; CI machines are noisy, real hot-loop regressions are
@@ -104,7 +104,8 @@ _FLEET_EXACT = ("batch", "steps_total", "fallback_steps")
 #: Every gated section.  The CAPMAN fleet leg also pins its driver mix
 #: (every row on the compiled-table vector driver, none on the scalar
 #: adapter); the service's ``failed_cells``/``double_commits`` are
-#: exact-zero correctness pins and ``deduped_jobs`` pins that an
+#: exact-zero correctness pins, ``cells_fleet`` pins that the served
+#: grid ran as one fleet batch, and ``deduped_jobs`` pins that an
 #: identical resubmission stayed a pure content-hash dedupe.
 SECTIONS = (
     Section("serial",
@@ -116,8 +117,8 @@ SECTIONS = (
     Section("capman_fleet", exact=_FLEET_EXACT + ("adapter_rows",),
             rate="device_steps_per_sec", min_speedup=20.0),
     Section("service",
-            exact=("cells_total", "steps_total", "deduped_jobs",
-                   "failed_cells", "double_commits"),
+            exact=("cells_total", "cells_fleet", "steps_total",
+                   "deduped_jobs", "failed_cells", "double_commits"),
             rate="steps_per_sec"),
 )
 

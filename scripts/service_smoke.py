@@ -44,8 +44,8 @@ _REPO = Path(__file__).resolve().parents[1]
 if str(_REPO / "src") not in sys.path:
     sys.path.insert(0, str(_REPO / "src"))
 
+from repro.durability.journal import journal_commit_counts  # noqa: E402
 from repro.service.schemas import parse_spec  # noqa: E402
-from repro.sim.chaos import journal_commit_counts  # noqa: E402
 from repro.sim.sweep import ScenarioRunner  # noqa: E402
 
 CAPACITIES = (30, 40, 50, 60, 70, 80)

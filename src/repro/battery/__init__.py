@@ -16,7 +16,7 @@ from .chemistry import (
     pick_big_little,
 )
 from .aging import AgingModel, CellHealth, project_lifetime
-from .cell import Cell, CellEmptyError, DrawResult
+from .cell import Cell, DrawResult
 from .charging import CCCVCharger, ChargeResult
 from .multipack import GreedyCellRouter, MixedPack
 from .pack import BatteryPack, BigLittlePack, PackDraw, SingleBatteryPack
@@ -44,7 +44,6 @@ __all__ = [
     "CCCVCharger",
     "ChargeResult",
     "Cell",
-    "CellEmptyError",
     "DrawResult",
     "GreedyCellRouter",
     "MixedPack",

@@ -26,14 +26,10 @@ from ..durability.state import pack_state, unpack_state
 from . import kinetics
 from .chemistry import Chemistry
 
-__all__ = ["Cell", "DrawResult", "CellEmptyError"]
+__all__ = ["Cell", "DrawResult"]
 
 #: Seconds per hour, used for mAh <-> Coulomb-ish conversions.
 _HOUR = 3600.0
-
-
-class CellEmptyError(RuntimeError):
-    """Raised when energy is requested from a depleted cell."""
 
 
 @dataclass

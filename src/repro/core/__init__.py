@@ -1,7 +1,7 @@
-"""Core contribution: MDP, bipartite graph, structural similarity,
-exact solvers, competitiveness bounds, and the online scheduler."""
+"""Core contribution: MDP, bipartite graph, structural similarity
+(Algorithm 1 over the vectorised EMD engine), value iteration,
+competitiveness bounds, and the online scheduler."""
 
-from .abstraction import Clustering, abstract_mdp, cluster_states, lift_policy
 from .bounds import (
     BoundCheck,
     competitiveness_factor,
@@ -9,21 +9,15 @@ from .bounds import (
     verify_action_bound,
     verify_value_bound,
 )
-from .emd import EMDStats, PairwiseEMD, emd, emd_1d, emd_dicts
+from .emd import EMDStats, PairwiseEMD
 from .graph import ActionNode, MDPGraph
-from .hausdorff import directed_hausdorff, hausdorff, hausdorff_matrix
 from .mdp import MDP, random_mdp
-from .minflow import MinCostFlow, transport, transport_dense
+from .minflow import transport_dense
 from .online import DecisionRecord, OnlineScheduler, SchedulerStats
-from .policy import Policy, RandomPolicy, TabularPolicy, rollout_return
 from .similarity import SimilarityResult, SolverStats, StructuralSimilarity
-from .solver import Solution, policy_evaluation, policy_iteration, value_iteration
+from .solver import Solution, value_iteration
 
 __all__ = [
-    "Clustering",
-    "abstract_mdp",
-    "cluster_states",
-    "lift_policy",
     "BoundCheck",
     "competitiveness_factor",
     "value_difference_bound",
@@ -31,31 +25,17 @@ __all__ = [
     "verify_value_bound",
     "EMDStats",
     "PairwiseEMD",
-    "emd",
-    "emd_1d",
-    "emd_dicts",
     "ActionNode",
     "MDPGraph",
-    "directed_hausdorff",
-    "hausdorff",
-    "hausdorff_matrix",
     "MDP",
     "random_mdp",
-    "MinCostFlow",
-    "transport",
     "transport_dense",
     "DecisionRecord",
     "OnlineScheduler",
     "SchedulerStats",
-    "Policy",
-    "RandomPolicy",
-    "TabularPolicy",
-    "rollout_return",
     "SimilarityResult",
     "SolverStats",
     "StructuralSimilarity",
     "Solution",
-    "policy_evaluation",
-    "policy_iteration",
     "value_iteration",
 ]

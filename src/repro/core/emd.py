@@ -1,12 +1,9 @@
 """Earth Mover's Distance between finite distributions.
 
 Used by Algorithm 1 to compare the next-state distributions of two
-action nodes under the current state-distance metric.  The general
-case reduces to a small balanced transportation problem solved by the
-SSP min-cost-flow kernel; a closed-form fast path handles
-one-dimensional ground distances.
+action nodes under the current state-distance metric.
 
-:class:`PairwiseEMD` is the vectorised/memoised engine behind the fast
+:class:`PairwiseEMD` is the vectorised/memoised engine behind the
 Algorithm 1 solver: it compiles a fixed family of sparse distributions
 once (dense support index arrays instead of per-pair dict lookups) and
 then refreshes *all* pairwise EMDs against an updated ground metric
@@ -17,97 +14,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .minflow import transport, transport_dense
+from .minflow import transport_dense
 
-__all__ = ["emd", "emd_dicts", "emd_1d", "EMDStats", "PairwiseEMD"]
+__all__ = ["EMDStats", "PairwiseEMD"]
 
 T = TypeVar("T", bound=Hashable)
 
 _EPS = 1e-12
-
-
-def emd(
-    p: Sequence[float],
-    q: Sequence[float],
-    ground: Sequence[Sequence[float]],
-) -> float:
-    """EMD between two probability vectors.
-
-    ``ground[i][j]`` is the ground distance from ``p``'s support point
-    ``i`` to ``q``'s support point ``j`` -- the supports may differ
-    (``ground`` is then rectangular).  Both vectors are normalised
-    defensively; the result lies in ``[0, max(ground)]``.
-    """
-    if len(p) == 0 or len(q) == 0:
-        raise ValueError("empty distributions")
-    if len(ground) != len(p) or any(len(row) != len(q) for row in ground):
-        raise ValueError("ground matrix shape must be len(p) x len(q)")
-    sp, sq = sum(p), sum(q)
-    if sp <= _EPS or sq <= _EPS:
-        raise ValueError("distributions must have positive mass")
-    pn = [x / sp for x in p]
-    qn = [x / sq for x in q]
-    # Fast path: identical distributions over an aligned support (the
-    # diagonal must be zero, i.e. index i really is the same point).
-    if (
-        len(pn) == len(qn)
-        and all(abs(a - b) <= 1e-12 for a, b in zip(pn, qn))
-        and all(abs(ground[i][i]) <= 1e-12 for i in range(len(pn)))
-    ):
-        return 0.0
-    return transport(pn, qn, ground)
-
-
-def emd_dicts(
-    p: Mapping[T, float],
-    q: Mapping[T, float],
-    distance: Callable[[T, T], float],
-) -> float:
-    """EMD between sparse distributions keyed by arbitrary points.
-
-    This is the form Algorithm 1 needs: ``p`` and ``q`` are next-state
-    distributions of two action nodes, and ``distance`` is the current
-    state-distance estimate ``delta_S``.
-    """
-    if not p or not q:
-        raise ValueError("distributions must be non-empty")
-    keys_p = list(p)
-    keys_q = list(q)
-    ground = [[float(distance(a, b)) for b in keys_q] for a in keys_p]
-    return emd([p[k] for k in keys_p], [q[k] for k in keys_q], ground)
-
-
-def emd_1d(p: Sequence[float], q: Sequence[float],
-           positions: Sequence[float]) -> float:
-    """Closed-form EMD when support points live on a line.
-
-    Equals the integral of the absolute difference of CDFs (weighted by
-    gaps between sorted positions); used as a cross-check for the flow
-    solver in tests.
-    """
-    if not (len(p) == len(q) == len(positions)):
-        raise ValueError("inputs must have equal length")
-    order = sorted(range(len(positions)), key=lambda i: positions[i])
-    sp, sq = sum(p), sum(q)
-    if sp <= _EPS or sq <= _EPS:
-        raise ValueError("distributions must have positive mass")
-    cdf_gap = 0.0
-    total = 0.0
-    for idx in range(len(order) - 1):
-        i = order[idx]
-        cdf_gap += p[i] / sp - q[i] / sq
-        gap = positions[order[idx + 1]] - positions[i]
-        total += abs(cdf_gap) * gap
-    return total
-
-
-# ----------------------------------------------------------------------
-# Vectorised pairwise EMD engine
-# ----------------------------------------------------------------------
 
 #: Largest spanning-tree count handled by the vertex-enumeration batch
 #: path.  K_{m,n} has m^(n-1) * n^(m-1) spanning trees: 81 for 3x3, 432

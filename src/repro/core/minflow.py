@@ -1,163 +1,22 @@
-"""Minimum-cost flow by successive shortest paths (SSP).
+"""Exact transport for the small dense problems of Algorithm 1.
 
-The paper's Algorithm 1 computes Earth Mover's Distances with the SSP
-algorithm of Jewell (1962); we implement SSP with Dijkstra over reduced
-costs (Johnson potentials) so each augmentation is a non-negative-edge
-shortest-path run.  Capacities and costs are floats, as the transport
-problems come from probability distributions.
+The paper's Algorithm 1 computes Earth Mover's Distances with the
+successive-shortest-paths (SSP) algorithm of Jewell (1962).
+:func:`transport_dense` runs SSP with Johnson potentials directly on
+the bipartite supply/demand structure.  Capacities and costs are
+floats, as the transport problems come from probability distributions.
+The general-network form it is checked against lives in
+``tests/emd_oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["MinCostFlow", "transport", "transport_dense"]
+__all__ = ["transport_dense"]
 
 _EPS = 1e-12
-
-
-@dataclass
-class _Edge:
-    to: int
-    cap: float
-    cost: float
-    #: Index of the reverse edge in ``graph[to]``.
-    rev: int
-
-
-class MinCostFlow:
-    """A min-cost-flow network over integer node ids.
-
-    Usage: ``add_edge`` to build, then :meth:`solve` to push a given
-    amount of flow from source to sink at minimum cost.
-    """
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes <= 0:
-            raise ValueError("network needs at least one node")
-        self.n = n_nodes
-        self.graph: List[List[_Edge]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, frm: int, to: int, cap: float, cost: float) -> None:
-        """Add a directed edge with capacity and per-unit cost."""
-        if not (0 <= frm < self.n and 0 <= to < self.n):
-            raise IndexError("edge endpoint out of range")
-        if cap < 0:
-            raise ValueError("capacity must be non-negative")
-        self.graph[frm].append(_Edge(to, cap, cost, len(self.graph[to])))
-        self.graph[to].append(_Edge(frm, 0.0, -cost, len(self.graph[frm]) - 1))
-
-    def solve(self, source: int, sink: int, max_flow: float) -> Tuple[float, float]:
-        """Push up to ``max_flow`` units; returns (flow_sent, total_cost).
-
-        Successive shortest paths: repeatedly find the cheapest
-        augmenting path under reduced costs and saturate it.  Stops
-        early when the sink becomes unreachable.
-        """
-        if max_flow < 0:
-            raise ValueError("max_flow must be non-negative")
-        flow = 0.0
-        cost = 0.0
-        potential = [0.0] * self.n
-        while flow + _EPS < max_flow:
-            dist, parent = self._dijkstra(source, potential)
-            if dist[sink] == math.inf:
-                break
-            for i in range(self.n):
-                if dist[i] < math.inf:
-                    potential[i] += dist[i]
-            # Find bottleneck along the path.
-            push = max_flow - flow
-            v = sink
-            while v != source:
-                u, ei = parent[v]
-                push = min(push, self.graph[u][ei].cap)
-                v = u
-            if push <= _EPS:
-                break
-            # Apply.
-            v = sink
-            while v != source:
-                u, ei = parent[v]
-                edge = self.graph[u][ei]
-                edge.cap -= push
-                self.graph[edge.to][edge.rev].cap += push
-                cost += push * edge.cost
-                v = u
-            flow += push
-        return flow, cost
-
-    def _dijkstra(
-        self, source: int, potential: Sequence[float]
-    ) -> Tuple[List[float], List[Optional[Tuple[int, int]]]]:
-        dist = [math.inf] * self.n
-        parent: List[Optional[Tuple[int, int]]] = [None] * self.n
-        dist[source] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + _EPS:
-                continue
-            for ei, edge in enumerate(self.graph[u]):
-                if edge.cap <= _EPS:
-                    continue
-                reduced = edge.cost + potential[u] - potential[edge.to]
-                # Guard tiny negative drift from float arithmetic.
-                if reduced < -1e-6:
-                    reduced = 0.0
-                nd = d + reduced
-                if nd + _EPS < dist[edge.to]:
-                    dist[edge.to] = nd
-                    parent[edge.to] = (u, ei)
-                    heapq.heappush(heap, (nd, edge.to))
-        return dist, parent
-
-
-def transport(
-    supply: Sequence[float],
-    demand: Sequence[float],
-    cost: Sequence[Sequence[float]],
-) -> float:
-    """Solve a balanced transportation problem; returns minimum cost.
-
-    ``supply`` and ``demand`` must sum to the same total (within
-    tolerance); ``cost[i][j]`` is the unit cost from supply node ``i``
-    to demand node ``j``.  This is the kernel of the EMD computation.
-    """
-    m, n = len(supply), len(demand)
-    if m == 0 or n == 0:
-        raise ValueError("supply and demand must be non-empty")
-    total_supply = sum(supply)
-    total_demand = sum(demand)
-    if abs(total_supply - total_demand) > 1e-6 * max(1.0, total_supply):
-        raise ValueError("transport problem must be balanced")
-    if any(s < -_EPS for s in supply) or any(d < -_EPS for d in demand):
-        raise ValueError("supplies and demands must be non-negative")
-
-    # Nodes: 0 = source, 1..m = supplies, m+1..m+n = demands, m+n+1 = sink.
-    net = MinCostFlow(m + n + 2)
-    source, sink = 0, m + n + 1
-    for i, s in enumerate(supply):
-        if s > _EPS:
-            net.add_edge(source, 1 + i, s, 0.0)
-    for j, d in enumerate(demand):
-        if d > _EPS:
-            net.add_edge(1 + m + j, sink, d, 0.0)
-    for i in range(m):
-        if supply[i] <= _EPS:
-            continue
-        row = cost[i]
-        for j in range(n):
-            if demand[j] <= _EPS:
-                continue
-            net.add_edge(1 + i, 1 + m + j, math.inf, float(row[j]))
-    sent, total_cost = net.solve(source, sink, total_supply)
-    if sent < total_supply - 1e-6:
-        raise RuntimeError("transport failed to route all supply")
-    return total_cost
 
 
 def transport_dense(
@@ -165,12 +24,13 @@ def transport_dense(
     demand: Sequence[float],
     cost: Sequence[Sequence[float]],
 ) -> float:
-    """Exact transport specialised to small dense problems.
+    """Minimum cost of a balanced transportation problem.
 
-    Same contract and optimum as :func:`transport`, but the SSP runs
-    directly on the bipartite supply/demand structure with flat lists:
-    no edge objects, no heap (a linear-scan Dijkstra is faster below a
-    few dozen nodes).  This is the kernel behind the fast Algorithm 1
+    ``supply`` and ``demand`` must sum to the same total (within
+    tolerance); ``cost[i][j]`` is the unit cost from supply node ``i``
+    to demand node ``j``.  The SSP runs directly on the bipartite
+    supply/demand structure with flat lists: no edge objects, no heap
+    (a linear-scan Dijkstra is faster below a few dozen nodes).  This is the kernel behind the fast Algorithm 1
     path, where every EMD instance is a k x k problem with k equal to
     an action node's out-degree.
     """

@@ -1,19 +1,20 @@
-"""Exact MDP solvers: value iteration, policy iteration, evaluation.
+"""Exact MDP solver: value iteration.
 
-These implement the Bellman machinery of paper Eqs. (6)-(9): state
-values ``V``, action values ``Q`` (the paper's ``P_a``), the optimal
-policy, and policy evaluation for the competitiveness experiments.
+This implements the Bellman machinery of paper Eqs. (6)-(9): state
+values ``V``, action values ``Q`` (the paper's ``P_a``) and the optimal
+policy.  Policy evaluation and policy iteration, which only the tests
+use as cross-checks, live in ``tests/solver_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .mdp import MDP, Action, State
 
-__all__ = ["Solution", "value_iteration", "policy_evaluation", "policy_iteration"]
+__all__ = ["Solution", "value_iteration"]
 
 
 @dataclass(frozen=True)
@@ -33,18 +34,6 @@ class Solution:
     def action(self, state: State) -> Optional[Action]:
         """The optimal action, or None for absorbing states."""
         return self.policy.get(state)
-
-
-def _q_from_values(
-    mdp: MDP, values: Mapping[State, float], rho: float
-) -> Dict[Tuple[State, Action], float]:
-    q: Dict[Tuple[State, Action], float] = {}
-    for (s, a), dist in mdp.transitions.items():
-        q[(s, a)] = sum(
-            p * (mdp.reward(s, a, sp) + rho * values.get(sp, 0.0))
-            for sp, p in dist.items()
-        )
-    return q
 
 
 def _compile(mdp: MDP):
@@ -122,65 +111,3 @@ def value_iteration(
         if acts:
             policy[s] = max(acts, key=lambda a: q_values[(s, a)])
     return Solution(values, q_values, policy, it, residual)
-
-
-def policy_evaluation(
-    mdp: MDP,
-    policy: Mapping[State, Action],
-    rho: float = 0.9,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> Dict[State, float]:
-    """Value of a fixed policy (Eq. 6 under pi instead of pi*)."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    values: Dict[State, float] = {s: 0.0 for s in mdp.states}
-    for _ in range(max_iter):
-        residual = 0.0
-        for s in mdp.states:
-            a = policy.get(s)
-            if a is None:
-                continue
-            v = sum(
-                p * (mdp.reward(s, a, sp) + rho * values[sp])
-                for sp, p in mdp.transitions[(s, a)].items()
-            )
-            residual = max(residual, abs(v - values[s]))
-            values[s] = v
-        if residual < tol:
-            break
-    return values
-
-
-def policy_iteration(
-    mdp: MDP,
-    rho: float = 0.9,
-    tol: float = 1e-8,
-    max_iter: int = 1_000,
-) -> Solution:
-    """Howard policy iteration; converges in few sweeps on our MDPs."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    policy: Dict[State, Action] = {}
-    for s in mdp.states:
-        acts = mdp.available_actions(s)
-        if acts:
-            policy[s] = acts[0]
-    values: Dict[State, float] = {s: 0.0 for s in mdp.states}
-    it = 0
-    for it in range(1, max_iter + 1):
-        values = policy_evaluation(mdp, policy, rho, tol)
-        q = _q_from_values(mdp, values, rho)
-        stable = True
-        for s in mdp.states:
-            acts = mdp.available_actions(s)
-            if not acts:
-                continue
-            best = max(acts, key=lambda a: q[(s, a)])
-            if q[(s, best)] > q[(s, policy[s])] + tol:
-                policy[s] = best
-                stable = False
-        if stable:
-            break
-    q = _q_from_values(mdp, values, rho)
-    return Solution(values, q, dict(policy), it, 0.0)

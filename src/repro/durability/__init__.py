@@ -14,7 +14,8 @@ package supplies the building blocks:
   :class:`Checkpointer`;
 * :mod:`~repro.durability.journal` -- the fsync'd write-ahead JSONL
   :class:`RunJournal` the sweep engine commits cells to, with
-  torn-tail detection and truncation recovery;
+  torn-tail detection and truncation recovery, and the
+  exactly-once audit :func:`journal_commit_counts`;
 * :mod:`~repro.durability.budget` -- wall-clock/step
   :class:`RunBudget` enforcement (checkpoint-then-exit instead of a
   timeout kill);
@@ -36,7 +37,7 @@ from .deadline import (
     set_deadline,
     thread_deadline,
 )
-from .journal import JournalError, RunJournal
+from .journal import JournalError, RunJournal, journal_commit_counts
 from .lock import FileLock
 from .snapshot import (
     CheckpointError,
@@ -63,6 +64,7 @@ __all__ = [
     "thread_deadline",
     "JournalError",
     "RunJournal",
+    "journal_commit_counts",
     "FileLock",
     "CheckpointError",
     "Checkpointer",

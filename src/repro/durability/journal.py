@@ -20,6 +20,9 @@ torn record", never "crash" and never "trust bad state".
 
 Binary payloads (pickled specs/results) travel base64-encoded via
 :func:`encode_blob` / :func:`decode_blob`.
+
+:func:`journal_commit_counts` audits a run journal for the sweep
+engine's exactly-once contract: every cell is committed once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
 
-__all__ = ["JournalError", "RunJournal", "encode_blob", "decode_blob"]
+__all__ = ["JournalError", "RunJournal", "encode_blob", "decode_blob",
+           "journal_commit_counts"]
 
 
 class JournalError(RuntimeError):
@@ -220,6 +224,22 @@ class RunJournal:
             bad_lines += 1
             return records, offset, bad_lines
         return records, None, 0
+
+
+def journal_commit_counts(path: Union[str, Path]) -> Dict[int, int]:
+    """``cell_commit`` records per cell index in a run journal.
+
+    The durability contract says every value is exactly 1 for a
+    completed sweep -- a crash, a resume or a retried cell must never
+    produce a second commit for the same cell.  The audit reads only
+    the valid records and never repairs a torn tail.
+    """
+    counts: Dict[int, int] = {}
+    for record in RunJournal.replay_typed(path, ("cell_commit",),
+                                          recover=False):
+        index = int(record["data"]["index"])
+        counts[index] = counts.get(index, 0) + 1
+    return counts
 
 
 def _parse_record(text: bytes) -> Optional[Dict[str, Any]]:

@@ -11,16 +11,15 @@ remains the reference oracle: a fleet of one produces bit-for-bit the
 same :class:`~repro.sim.discharge.DischargeResult` (enforced by
 ``tests/test_fleet_vs_scalar``).  Devices the batch path cannot model
 exactly raise :class:`UnsupportedDeviceError` at build time; use
-:func:`supports_policy` to route them to the scalar engine instead,
-and :func:`unsupported_reason` to say why.
+:func:`unsupported_reason` (None when the batch path can run the
+policy, else why not) to route them to the scalar engine instead.
 """
 
 from .capman import VectorCapmanDriver
-from .policies import (VECTOR_DRIVERS, is_vectorisable,
-                       register_vector_driver)
+from .policies import VECTOR_DRIVERS, register_vector_driver
 from .simulator import FleetSimulator
 from .spec import (DeviceSpec, FleetSpec, UnsupportedDeviceError,
-                   supports_policy, unsupported_reason)
+                   unsupported_reason)
 from .state import FleetState
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "UnsupportedDeviceError",
     "VectorCapmanDriver",
     "VECTOR_DRIVERS",
-    "is_vectorisable",
     "register_vector_driver",
-    "supports_policy",
     "unsupported_reason",
 ]

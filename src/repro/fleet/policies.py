@@ -46,7 +46,7 @@ __all__ = ["CHOICE_NONE", "CHOICE_BIG", "CHOICE_LITTLE",
            "StepObservation", "VectorDualDriver", "VectorHeuristicDriver",
            "VectorPracticeDriver", "ScalarPolicyAdapter",
            "VECTOR_DRIVERS", "register_vector_driver",
-           "make_decision_drivers", "is_vectorisable"]
+           "make_decision_drivers"]
 
 CHOICE_NONE = np.int8(-1)
 CHOICE_BIG = np.int8(0)
@@ -66,15 +66,6 @@ def register_vector_driver(*policy_types: type):
             VECTOR_DRIVERS[policy_type] = factory
         return factory
     return deco
-
-
-def is_vectorisable(policy: SchedulingPolicy) -> bool:
-    """True when the policy type has a registered vector driver.
-
-    Deliberately an exact-type lookup: a subclass may override
-    ``decide_battery`` and must fall back to the adapter.
-    """
-    return type(policy) in VECTOR_DRIVERS
 
 
 def make_decision_drivers(policies: Sequence[SchedulingPolicy],

@@ -56,7 +56,7 @@ from ..workload.base import Segment
 from ..workload.traces import Trace
 
 __all__ = ["DeviceSpec", "FleetSpec", "UnsupportedDeviceError",
-           "supports_policy", "unsupported_reason", "NODE_NAMES"]
+           "unsupported_reason", "NODE_NAMES"]
 
 #: Canonical node order of the phone thermal network; the fleet's
 #: ``node_temps`` columns use these indices.
@@ -212,11 +212,6 @@ def unsupported_reason(policy: SchedulingPolicy) -> Optional[str]:
     except Exception as exc:
         return f"build_pack raised {type(exc).__name__}: {exc}"
     return _check_pack(pack)
-
-
-def supports_policy(policy: SchedulingPolicy) -> bool:
-    """Whether the fleet path can reproduce this policy's cycle exactly."""
-    return unsupported_reason(policy) is None
 
 
 class FleetSpec:

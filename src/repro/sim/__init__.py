@@ -1,9 +1,8 @@
 """Simulation engine: control stepping, metrics, discharge cycles,
-multi-day discharge/charge/aging runs, the scenario-sweep engine that
-drives the evaluation grids (one in-process path: a vectorised fleet
-batch first, the local process executor for the cells it rejects),
-and the chaos harness that crosses those grids with fault
-scenarios."""
+multi-day discharge/charge/aging runs, and the scenario-sweep engine
+that drives the evaluation grids (one in-process path: a vectorised
+fleet batch first, the local process executor for the cells it
+rejects)."""
 
 from .daily import DayRecord, MultiDayResult, run_days
 from .discharge import (
@@ -26,16 +25,6 @@ from .sweep import (
 )
 from .executors import LocalProcessExecutor
 
-# chaos depends on everything above; keep it last.
-from .chaos import (
-    ChaosReport,
-    ChaosRow,
-    ChaosSpec,
-    FaultScenario,
-    run_chaos,
-    standard_scenarios,
-)
-
 __all__ = [
     "DayRecord",
     "MultiDayResult",
@@ -57,10 +46,4 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "LocalProcessExecutor",
-    "ChaosReport",
-    "ChaosRow",
-    "ChaosSpec",
-    "FaultScenario",
-    "run_chaos",
-    "standard_scenarios",
 ]

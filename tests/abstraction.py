@@ -1,21 +1,24 @@
-"""State abstraction from structural similarity.
+"""State abstraction from structural similarity (test harness).
 
 The similarity fixed point induces a pseudo-metric on states; states
 within a distance threshold are behaviourally interchangeable up to
 ``threshold/(1-rho)`` in value (Eq. 10).  Clustering on that metric,
 solving the small abstract MDP and lifting its policy is how CAPMAN
 avoids the state-explosion the paper warns about ("hundreds of apps,
-tens of devices, and two batteries").
+tens of devices, and two batteries").  The running system borrows
+decisions through :meth:`~repro.core.similarity.SimilarityResult.most_similar_state`
+instead; only the tests cluster, so this lives beside them.  Import it
+from a test (``tests/`` is on ``sys.path`` under pytest).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
-from .mdp import MDP, Action, State
-from .similarity import SimilarityResult
-from .solver import Solution, value_iteration
+from repro.core.mdp import MDP, Action, State
+from repro.core.similarity import SimilarityResult
+from repro.core.solver import Solution
 
 __all__ = ["Clustering", "cluster_states", "abstract_mdp", "lift_policy"]
 

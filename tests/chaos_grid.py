@@ -1,4 +1,4 @@
-"""Chaos sweeps: cross fault scenarios with the evaluation grids.
+"""Chaos sweeps: cross fault scenarios with the evaluation grids (test harness).
 
 The evaluation sweeps answer "which policy lasts longest when nothing
 breaks".  A chaos sweep asks the production question: *how gracefully
@@ -14,24 +14,23 @@ degraded-mode transitions and the structured fault-event counts.
 Determinism: scenarios are seeded fault schedules, so a chaos grid is
 exactly reproducible (and cacheable) like any other sweep.
 
-:func:`journal_commit_counts` audits a run journal for the sweep
-engine's exactly-once contract: every cell is committed once.
+Only the chaos tests run the grid, so it lives beside them.  Import it
+from a test (``tests/`` is on ``sys.path`` under pytest).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import obs
-from ..device.profiles import NEXUS, PhoneProfile
-from ..durability.journal import RunJournal
-from ..faults.schedule import FaultSchedule, FaultTrigger, SensorFault, SwitchFault, TecFault
-from ..workload.traces import Trace
-from .discharge import DischargeResult, SchedulingPolicy
-from .sweep import CellFailure, ScenarioRunner, SweepResult, SweepSpec
+from repro import obs
+from repro.device.profiles import NEXUS, PhoneProfile
+from repro.faults.schedule import FaultSchedule, FaultTrigger, SensorFault, SwitchFault, TecFault
+from repro.faults.supervisor import SupervisedPolicy
+from repro.sim.discharge import DischargeResult, SchedulingPolicy
+from repro.sim.sweep import CellFailure, ScenarioRunner, SweepResult, SweepSpec
+from repro.workload.traces import Trace
 
 __all__ = [
     "FaultScenario",
@@ -41,7 +40,6 @@ __all__ = [
     "ChaosRow",
     "ChaosReport",
     "run_chaos",
-    "journal_commit_counts",
 ]
 
 #: Separator between policy and scenario in the sweep's policy keys.
@@ -120,9 +118,6 @@ class ChaosSpec:
 
     def to_sweep(self) -> SweepSpec:
         """The equivalent plain sweep over supervised policy wrappers."""
-        # Imported lazily: supervisor -> sim.discharge -> this package.
-        from ..faults.supervisor import SupervisedPolicy
-
         wrapped: Dict[str, SchedulingPolicy] = {}
         for scenario in self.all_scenarios():
             for key, policy in self.policies.items():
@@ -267,22 +262,3 @@ def run_chaos(spec: ChaosSpec,
             final_mode=result.final_mode,
         ))
     return ChaosReport(rows=rows, sweep=sweep, telemetry=sweep.telemetry)
-
-
-# ----------------------------------------------------------------------
-# Journal audit
-# ----------------------------------------------------------------------
-def journal_commit_counts(path: Union[str, Path]) -> Dict[int, int]:
-    """``cell_commit`` records per cell index in a run journal.
-
-    The durability contract says every value is exactly 1 for a
-    completed sweep -- a crash, a resume or a retried cell must never
-    produce a second commit for the same cell.
-    """
-    counts: Dict[int, int] = {}
-    for record in RunJournal.replay(path, recover=False):
-        if record["type"] != "cell_commit":
-            continue
-        index = int(record["data"]["index"])
-        counts[index] = counts.get(index, 0) + 1
-    return counts

@@ -1,13 +1,18 @@
-"""Policy objects over MDPs."""
+"""Policy objects over MDPs and Monte-Carlo rollouts (test harness).
+
+The rollout estimate of Eq. (6) is an independent check on value
+iteration's optimum.  Import it from a test (``tests/`` is on
+``sys.path`` under pytest).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .mdp import MDP, Action, State
+from repro.core.mdp import MDP, Action, State
 
 __all__ = ["Policy", "TabularPolicy", "RandomPolicy", "rollout_return"]
 

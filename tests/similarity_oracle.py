@@ -1,8 +1,9 @@
 """Reference solver for Algorithm 1: the oracle the fast solver is checked against.
 
 A direct transcription of the structural-similarity recursion: dense
-Python double loops and one SSP transport solve per action pair per
-iteration.  It is slow by design and exists only so the golden,
+Python double loops, one SSP transport solve per action pair per
+iteration, and the Hausdorff distance between action neighbourhoods
+per state pair.  It is slow by design and exists only so the golden,
 contract and scaling tests can compare
 :meth:`repro.core.similarity.StructuralSimilarity.solve` with it.
 Import it from a test (``tests/`` is on ``sys.path`` under pytest) or
@@ -12,16 +13,55 @@ put ``tests/`` on ``sys.path`` first, as the scaling benchmark does.
 from __future__ import annotations
 
 import time
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.emd import emd_dicts
 from repro.core.graph import ActionNode, MDPGraph
-from repro.core.hausdorff import hausdorff
 from repro.core.similarity import (SimilarityResult, SolverStats, State,
                                    StructuralSimilarity)
 
-__all__ = ["solve_reference"]
+from emd_oracle import emd_dicts
+
+__all__ = ["solve_reference", "directed_hausdorff", "hausdorff"]
+
+T = TypeVar("T")
+
+
+def directed_hausdorff(
+    a: Sequence[T], b: Sequence[T], distance: Callable[[T, T], float]
+) -> float:
+    """``sup_{x in a} inf_{y in b} d(x, y)``.
+
+    Empty ``a`` contributes 0 (nothing to cover); empty ``b`` with a
+    non-empty ``a`` is infinitely far, reported as 1.0 since all our
+    metrics are normalised to [0, 1].
+    """
+    if not a:
+        return 0.0
+    if not b:
+        return 1.0
+    worst = 0.0
+    for x in a:
+        best = min(distance(x, y) for y in b)
+        if best > worst:
+            worst = best
+    return worst
+
+
+def hausdorff(
+    a: Sequence[T], b: Sequence[T], distance: Callable[[T, T], float]
+) -> float:
+    """Symmetric Hausdorff distance ``max(h(a,b), h(b,a))``.
+
+    Algorithm 1 compares two state nodes by this distance between their
+    action-node neighbourhoods, measured with the current action
+    distance ``delta_A``.
+    """
+    return max(
+        directed_hausdorff(a, b, distance),
+        directed_hausdorff(b, a, distance),
+    )
 
 
 def solve_reference(graph: MDPGraph, c_s: float = 0.95, c_a: float = 0.95,

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.abstraction import abstract_mdp, cluster_states, lift_policy
 from repro.core.graph import MDPGraph
 from repro.core.mdp import MDP, random_mdp
 from repro.core.similarity import StructuralSimilarity
 from repro.core.solver import value_iteration
+
+from abstraction import abstract_mdp, cluster_states, lift_policy
 
 
 def _twin_mdp():
@@ -94,7 +95,7 @@ class TestAbstractMdp:
         clustering = cluster_states(sim, threshold=0.02)
         abstract = abstract_mdp(mdp, clustering)
         lifted = lift_policy(value_iteration(abstract, rho=0.9), clustering)
-        from repro.core.solver import policy_evaluation
+        from solver_oracle import policy_evaluation
 
         full = value_iteration(mdp, rho=0.9)
         # Only evaluate states where the lifted policy's action exists.

@@ -10,17 +10,18 @@ import pytest
 
 from repro.capman.controller import CapmanPolicy
 from repro.faults import MODE_SINGLE_BATTERY, MODE_THERMAL_FALLBACK
-from repro.sim.chaos import (
+from repro.sim.sweep import ScenarioRunner
+from repro.faults.schedule import FaultSchedule
+from repro.workload.generators import GeekbenchWorkload
+from repro.workload.traces import record_trace
+
+from chaos_grid import (
     ChaosSpec,
     FaultScenario,
     NOMINAL_SCENARIO,
     run_chaos,
     standard_scenarios,
 )
-from repro.sim.sweep import ScenarioRunner
-from repro.faults.schedule import FaultSchedule
-from repro.workload.generators import GeekbenchWorkload
-from repro.workload.traces import record_trace
 
 
 @pytest.fixture(scope="module")

@@ -28,6 +28,7 @@ from repro.durability.journal import (
     RunJournal,
     decode_blob,
     encode_blob,
+    journal_commit_counts,
 )
 from repro.durability.lock import FileLock
 from repro.durability.snapshot import (
@@ -260,6 +261,25 @@ class TestRunJournal:
         with RunJournal(path) as journal:
             assert journal.append_many([("commit", {"i": 2})]) == [2]
         assert [r["seq"] for r in RunJournal.replay(path)] == [0, 1, 2]
+
+    def test_commit_audit_counts_doubles_and_never_repairs(self, tmp_path):
+        """The exactly-once audit can report something other than 1s:
+        a doubled commit reads 2, start records are not commits, and a
+        torn tail is read past (its commit uncounted) but left on disk."""
+        path = tmp_path / "run.journal"
+        with RunJournal(path) as journal:
+            journal.append("sweep_start", {"cells": 3})
+            journal.append_many([("cell_start", {"index": i})
+                                 for i in range(3)])
+            journal.append_many([("cell_commit", {"index": i})
+                                 for i in (0, 1, 1)])
+        assert journal_commit_counts(path) == {0: 1, 1: 2}
+
+        with path.open("ab") as fh:
+            fh.write(b'{"seq":7,"type":"cell_commit","data":{"index":2')
+        torn = path.read_bytes()
+        assert journal_commit_counts(path) == {0: 1, 1: 2}
+        assert path.read_bytes() == torn
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.emd import emd, emd_1d, emd_dicts
+from emd_oracle import emd, emd_1d, emd_dicts
 
 
 def _line_ground(positions):

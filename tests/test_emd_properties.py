@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.emd import emd, emd_dicts
-from repro.core.minflow import transport, transport_dense
+from repro.core.minflow import transport_dense
+
+from emd_oracle import emd, emd_dicts, transport
 
 
 def _line_ground(positions):

@@ -23,9 +23,9 @@ from repro.battery.chemistry import LCO
 from repro.battery.pack import SingleBatteryPack
 from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
+from repro.durability.journal import journal_commit_counts
 from repro.fleet import FleetSpec
 from repro.service import CapmanService, parse_spec
-from repro.sim.chaos import journal_commit_counts
 from repro.sim.discharge import run_discharge_cycle
 from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import FLEET_MIN_ROWS, ScenarioRunner, SweepSpec

@@ -23,7 +23,7 @@ from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, LENOVO, NEXUS
 from repro.fleet import (DeviceSpec, FleetSpec, UnsupportedDeviceError,
-                         supports_policy, unsupported_reason)
+                         unsupported_reason)
 from repro.sim.discharge import run_discharge_cycle
 from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import ScenarioRunner, SweepSpec
@@ -224,11 +224,11 @@ def test_unsupported_pack_raises_at_build_time():
 
 
 def test_supports_policy_probe():
-    assert supports_policy(DualPolicy(capacity_mah=CAPACITY_MAH))
-    assert supports_policy(CapmanPolicy(capacity_mah=CAPACITY_MAH))
-    assert supports_policy(HeuristicPolicy(capacity_mah=CAPACITY_MAH))
-    assert supports_policy(PracticePolicy(capacity_mah=80.0))
-    assert not supports_policy(_TaggedCellPractice(capacity_mah=80.0))
+    assert unsupported_reason(DualPolicy(capacity_mah=CAPACITY_MAH)) is None
+    assert unsupported_reason(CapmanPolicy(capacity_mah=CAPACITY_MAH)) is None
+    assert unsupported_reason(HeuristicPolicy(capacity_mah=CAPACITY_MAH)) is None
+    assert unsupported_reason(PracticePolicy(capacity_mah=80.0)) is None
+    assert unsupported_reason(_TaggedCellPractice(capacity_mah=80.0)) is not None
     assert unsupported_reason(_TaggedCellPractice(capacity_mah=80.0)) == \
         "custom cell subclass"
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hausdorff import directed_hausdorff, hausdorff
+from similarity_oracle import directed_hausdorff, hausdorff
 
 
 def _abs_dist(a, b):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.minflow import MinCostFlow, transport
+from emd_oracle import MinCostFlow, transport
 
 
 class TestMinCostFlow:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.mdp import MDP, random_mdp
-from repro.core.policy import RandomPolicy, TabularPolicy, rollout_return
 from repro.core.solver import value_iteration
+
+from policy_rollout import RandomPolicy, TabularPolicy, rollout_return
 
 
 def _choice_mdp():

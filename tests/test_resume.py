@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.durability.journal import JournalError, RunJournal, encode_blob
-from repro.sim.chaos import journal_commit_counts
+from repro.durability.journal import (JournalError, RunJournal, encode_blob,
+                                      journal_commit_counts)
 from repro.sim.sweep import ScenarioRunner, cell_keys, code_salt
 
 import resume_helper

@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.sim.chaos import journal_commit_counts
+from repro.durability.journal import journal_commit_counts
 from repro.sim.sweep import ScenarioRunner
 from repro.service.schemas import parse_spec
 
