@@ -108,15 +108,6 @@ class MDP:
         """|A|."""
         return len(self.actions)
 
-    def sample_successor(self, state: State, action: Action,
-                         rng: np.random.Generator) -> State:
-        """Draw one successor state."""
-        dist = self.transitions[(state, action)]
-        keys = list(dist)
-        probs = np.array([dist[k] for k in keys], dtype=float)
-        probs = probs / probs.sum()
-        return keys[int(rng.choice(len(keys), p=probs))]
-
 
 def random_mdp(
     n_states: int,

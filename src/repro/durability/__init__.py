@@ -18,9 +18,7 @@ package supplies the building blocks:
   exactly-once audit :func:`journal_commit_counts`;
 * :mod:`~repro.durability.budget` -- wall-clock/step
   :class:`RunBudget` enforcement (checkpoint-then-exit instead of a
-  timeout kill);
-* :mod:`~repro.durability.deadline` -- cooperative per-thread
-  deadlines, the portable fallback for ``SIGALRM`` cell timeouts;
+  kill), the one bound code applies to a run while it runs;
 * :mod:`~repro.durability.lock` -- the advisory :class:`FileLock`
   serialising multi-runner cache writes.
 
@@ -30,13 +28,6 @@ never back.
 """
 
 from .budget import BudgetExceededError, RunBudget
-from .deadline import (
-    DeadlineExceededError,
-    clear_deadline,
-    poll_deadline,
-    set_deadline,
-    thread_deadline,
-)
 from .journal import JournalError, RunJournal, journal_commit_counts
 from .lock import FileLock
 from .snapshot import (
@@ -57,11 +48,6 @@ from .state import (
 __all__ = [
     "BudgetExceededError",
     "RunBudget",
-    "DeadlineExceededError",
-    "clear_deadline",
-    "poll_deadline",
-    "set_deadline",
-    "thread_deadline",
     "JournalError",
     "RunJournal",
     "journal_commit_counts",

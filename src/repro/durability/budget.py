@@ -7,9 +7,12 @@ triggers a *clean checkpoint-then-exit* (:class:`BudgetExceededError`
 carrying the final checkpoint) instead of a timeout kill that discards
 the work.
 
-A cell that stops making progress is bounded by the sweep's per-cell
-timeout instead: ``SIGALRM`` on a POSIX main thread, the cooperative
-deadline of :mod:`~repro.durability.deadline` elsewhere.
+This is the one bound code applies to a run while it runs.  A sweep
+cell needs no other: its work is fixed by its inputs (at most
+``ceil(max_duration_s / control_dt)`` full control steps per cycle,
+plus one tail step per trace segment), and the service checks that
+bound on every submitted grid
+(:data:`~repro.service.schemas.MAX_CELL_STEPS`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ Run one with ``python -m repro.service --root /var/lib/capman``.
 
 from .app import AUTH_ENV, CapmanService, ServiceMetrics
 from .jobs import Job, JobStore, job_id_for
-from .schemas import (ApiError, MAX_GRID_CELLS, POLICY_TYPES,
-                      WORKLOAD_TYPES, parse_spec)
+from .schemas import (ApiError, MAX_CELL_STEPS, MAX_GRID_CELLS,
+                      POLICY_TYPES, WORKLOAD_TYPES, parse_spec)
 
 __all__ = [
     "ApiError",
@@ -22,6 +22,7 @@ __all__ = [
     "CapmanService",
     "Job",
     "JobStore",
+    "MAX_CELL_STEPS",
     "MAX_GRID_CELLS",
     "POLICY_TYPES",
     "ServiceMetrics",

@@ -15,10 +15,16 @@ pickled payloads never cross the HTTP boundary -- the spec is built
 server-side from validated scalars, which is what makes the
 content-hash job identity (and the shared result cache under it)
 safe to share across tenants.
+
+A cell's work is fixed by its inputs, so the service bounds it by
+checking them: every duration and step size must be finite and
+positive, and no cell may take more than :data:`MAX_CELL_STEPS`
+control steps.  Nothing bounds a cell while it runs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..capman.baselines import (DualPolicy, HeuristicPolicy, PracticePolicy,
@@ -39,6 +45,7 @@ __all__ = [
     "ApiError",
     "POLICY_TYPES",
     "WORKLOAD_TYPES",
+    "MAX_CELL_STEPS",
     "MAX_GRID_CELLS",
     "MAX_TRACE_SECONDS",
     "parse_spec",
@@ -89,6 +96,19 @@ WORKLOAD_TYPES: Dict[str, type] = {
 #: Hard ceiling on the expanded grid of one job.
 MAX_GRID_CELLS = 4096
 
+#: Hard ceiling on the control steps one cell may take: the whole run
+#: for a "daily" cell, which steps ``n_days`` discharge cycles.
+MAX_CELL_STEPS = 1_000_000
+
+#: Longest ``slow_dual.delay_s`` (wall seconds) a client may ask for.
+_MAX_SLOW_DELAY_S = 10.0
+
+#: The ``extra`` run arguments a client may set, per sweep kind.
+_EXTRA_KEYS = {
+    "discharge": ("tec_threshold_c", "brownout_limit"),
+    "daily": ("n_days",),
+}
+
 #: Hard ceiling on one recorded/inline trace (simulated seconds).
 MAX_TRACE_SECONDS = 48.0 * 3600.0
 
@@ -115,6 +135,13 @@ def _require_number(obj: Any, what: str) -> float:
     return float(obj)
 
 
+def _require_finite(value: float, what: str, positive: bool = False) -> None:
+    # json.loads accepts the NaN and Infinity literals.
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise _bad(f"{what} must be a finite"
+                   f"{' positive' if positive else ''} number, got {value}")
+
+
 def _construct(cls: type, kwargs: Dict[str, Any], what: str) -> Any:
     """Instantiate a registry class, folding bad kwargs into ApiError."""
     try:
@@ -138,7 +165,13 @@ def parse_policy(name: str, obj: Any) -> SchedulingPolicy:
                    code="unknown_policy",
                    known=sorted(POLICY_TYPES))
     kwargs = {k: v for k, v in obj.items() if k != "type"}
-    return _construct(POLICY_TYPES[kind], kwargs, f"policy {name!r}")
+    policy = _construct(POLICY_TYPES[kind], kwargs, f"policy {name!r}")
+    if isinstance(policy, SlowDualPolicy):
+        delay = _require_number(policy.delay_s, f"policy {name!r} delay_s")
+        if not 0.0 <= delay <= _MAX_SLOW_DELAY_S:  # False for NaN too
+            raise _bad(f"policy {name!r} delay_s must be in "
+                       f"[0, {_MAX_SLOW_DELAY_S:.0f}] s, got {delay}")
+    return policy
 
 
 def _parse_trace_rows(name: str, rows: Any) -> Trace:
@@ -163,6 +196,7 @@ def _parse_trace_rows(name: str, rows: Any) -> Trace:
                            code="unknown_syscall") from None
         duration = _require_number(row["duration_s"],
                                    f"trace {name!r} row {i} duration_s")
+        _require_finite(duration, f"trace {name!r} row {i} duration_s")
         try:
             segments.append(Segment(
                 DemandSlice(
@@ -255,6 +289,34 @@ def _parse_floats(payload: Mapping[str, Any], key: str,
                  for i, v in enumerate(values))
 
 
+def _parse_extra(payload: Mapping[str, Any], kind: str) -> Dict[str, Any]:
+    extra = dict(_require_mapping(payload.get("extra", {}), "extra"))
+    unknown = sorted(set(extra) - set(_EXTRA_KEYS[kind]))
+    if unknown:
+        raise _bad(f"unknown extra arguments for a {kind} sweep",
+                   unknown=unknown, known=list(_EXTRA_KEYS[kind]))
+    n_days = extra.get("n_days", 1)
+    if isinstance(n_days, bool) or not isinstance(n_days, int) or n_days < 1:
+        raise _bad("extra n_days must be a positive integer")
+    return extra
+
+
+def _cell_step_bound(max_duration: float, control_dt: float,
+                     trace: Trace) -> int:
+    """Most control steps one discharge cycle of ``trace`` can take.
+
+    ``ceil(max_duration / control_dt)`` full steps, plus at most one
+    short tail step for each segment the looped trace starts inside
+    the window.
+    """
+    def ceil(quotient: float) -> int:
+        # min() keeps an overflowed (infinite) quotient out of math.ceil.
+        return math.ceil(min(quotient, MAX_CELL_STEPS + 1))
+
+    loops = ceil(max_duration / trace.duration_s)
+    return ceil(max_duration / control_dt) + loops * len(trace)
+
+
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
@@ -271,17 +333,27 @@ def parse_spec(payload: Any) -> SweepSpec:
     ambients = _parse_floats(payload, "ambients_c", (25.0,))
     max_duration = _require_number(
         payload.get("max_duration_s", 3.0 * 3600.0), "max_duration_s")
+    _require_finite(max_duration, "max_duration_s", positive=True)
+    for i, dt in enumerate(control_dts):
+        _require_finite(dt, f"control_dts[{i}]", positive=True)
+    for i, ambient in enumerate(ambients):
+        _require_finite(ambient, f"ambients_c[{i}]")
     record_every = payload.get("record_every", 1)
     if isinstance(record_every, bool) or not isinstance(record_every, int) \
             or record_every < 1:
         raise _bad("record_every must be a positive integer")
-    extra = payload.get("extra", {})
-    extra = dict(_require_mapping(extra, "extra"))
+    extra = _parse_extra(payload, kind)
     n_cells = (len(policies) * len(traces) * len(profiles)
                * len(control_dts) * len(ambients))
     if n_cells > MAX_GRID_CELLS:
         raise _bad(f"grid expands to {n_cells} cells "
                    f"(limit {MAX_GRID_CELLS})", code="grid_too_large")
+    steps = extra.get("n_days", 1) * max(
+        _cell_step_bound(max_duration, min(control_dts), trace)
+        for trace in traces.values())
+    if steps > MAX_CELL_STEPS:
+        raise _bad(f"a cell may take more than {MAX_CELL_STEPS} control "
+                   f"steps", max_cell_steps=MAX_CELL_STEPS)
     try:
         return SweepSpec(
             policies=policies, traces=traces, profiles=profiles,

@@ -15,7 +15,6 @@ from .engine import ControlStep, iter_control_steps
 from .metrics import MetricsRecorder, TimeSeries
 from .sweep import (
     CellFailure,
-    CellTimeoutError,
     ScenarioCell,
     ScenarioRunner,
     SimStats,
@@ -38,7 +37,6 @@ __all__ = [
     "MetricsRecorder",
     "TimeSeries",
     "CellFailure",
-    "CellTimeoutError",
     "ScenarioCell",
     "ScenarioRunner",
     "SimStats",

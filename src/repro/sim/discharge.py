@@ -24,7 +24,6 @@ from ..device.phone import DemandSlice, Phone, StepOutcome
 from ..device.profiles import NEXUS, PhoneProfile
 from ..device.syscalls import Syscall
 from ..durability.budget import BudgetExceededError, RunBudget
-from ..durability.deadline import poll_deadline
 from ..durability.snapshot import Checkpointer, SimCheckpoint
 from ..durability.state import StateMismatchError, pack_state, unpack_state
 from ..thermal.hotspot import HOT_SPOT_THRESHOLD_C, ThermostatController
@@ -358,7 +357,6 @@ def run_discharge_cycle(
                 _step_t0 = _obs_clock()
             # Durability hooks live at the top of the step, where the
             # state is consistent (== the end of the previous step).
-            poll_deadline()
             if durable:
                 if budget is not None:
                     reason = budget.exceeded(step_index)
@@ -431,7 +429,7 @@ def run_discharge_cycle(
                 if brownouts >= brownout_limit:
                     break
     finally:
-        # Harvest telemetry in the finally so a budget/deadline abort
+        # Harvest telemetry in the finally so a budget abort
         # still closes the scope (keeping the session stack sound) and
         # the success path below sees ``telemetry`` already bound.
         if observing:

@@ -6,8 +6,8 @@ misses, journal replay, the fleet batch); a
 
 * :meth:`LocalProcessExecutor.attach` /
   :meth:`LocalProcessExecutor.detach` bracket one sweep and hand the
-  executor its :class:`ExecutionContext` (timeout, checkpoint
-  sidecars, commit callback);
+  executor its :class:`ExecutionContext` (checkpoint sidecars,
+  commit callback);
 * :meth:`LocalProcessExecutor.submit` runs one cell in-process to a
   final outcome -- a :data:`CellResult` or a contained
   :class:`CellFailure`;
@@ -18,9 +18,9 @@ misses, journal replay, the fleet batch); a
   pool.
 
 This module also owns the cell-execution primitives (single attempt,
-sidecar checkpointing, per-cell timeout, failure capture) -- a pool
-worker runs exactly the same :func:`timed_cell` as the serial loop,
-which is what keeps pooled results byte-identical to serial ones.
+sidecar checkpointing, failure capture) -- a pool worker runs exactly
+the same :func:`timed_cell` as the serial loop, which is what keeps
+pooled results byte-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -28,17 +28,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-import threading
 import time
 import traceback as traceback_module
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
 from .. import obs
-from ..durability.deadline import DeadlineExceededError, thread_deadline
 from ..durability.snapshot import Checkpointer, SimCheckpoint
 from ..durability.state import StateMismatchError
 
@@ -49,12 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CellFailure",
-    "CellTimeoutError",
     "ExecutionContext",
     "LocalProcessExecutor",
     "MAX_CELL_ATTEMPTS",
     "timed_cell",
-    "choose_timeout_mechanism",
 ]
 
 #: Result type of a single scenario cell.
@@ -64,15 +59,6 @@ CellResult = Union["DischargeResult", "MultiDayResult"]
 #: run plus one immediate retry in a single-cell pool.  Exceptions
 #: raised *inside* a cell are deterministic and never retried.
 MAX_CELL_ATTEMPTS = 2
-
-
-class CellTimeoutError(DeadlineExceededError):
-    """A scenario cell exceeded the runner's per-cell timeout.
-
-    Subclasses :class:`~repro.durability.deadline.DeadlineExceededError`
-    so the SIGALRM path and the cooperative-deadline fallback raise the
-    same family of exception -- callers filter on one type either way.
-    """
 
 
 @dataclass(frozen=True)
@@ -171,70 +157,8 @@ def _execute_cell(cell: "ScenarioCell",
         return _run_cell_once(cell, checkpointer, None)
 
 
-def choose_timeout_mechanism(timeout_s: Optional[float]) -> str:
-    """Which per-cell timeout mechanism this thread would use.
-
-    ``"none"`` when no budget is set, ``"sigalrm"`` for the hard
-    SIGALRM interrupt (POSIX main thread -- where pool workers and the
-    serial path run cells), ``"cooperative"`` for the per-thread
-    deadline the simulation loops poll every control step.
-    """
-    if not timeout_s or timeout_s <= 0:
-        return "none"
-    try:
-        import signal
-        if (hasattr(signal, "setitimer")
-                and threading.current_thread() is threading.main_thread()):
-            return "sigalrm"
-    except ImportError:  # pragma: no cover - signal is POSIX-universal
-        pass
-    return "cooperative"
-
-
-def _execute_with_timeout(cell: "ScenarioCell",
-                          timeout_s: Optional[float],
-                          ckpt_path: Optional[str] = None,
-                          ckpt_every: int = 0) -> CellResult:
-    """Run one cell under a wall-clock budget.
-
-    SIGALRM delivers a hard timeout on the main thread of a POSIX
-    process -- which is exactly where ProcessPoolExecutor workers (and
-    the serial path) run cells.  Anywhere else (worker threads,
-    platforms without ``setitimer``) the budget degrades -- with a
-    warning -- to a cooperative per-thread deadline that the simulation
-    loops poll every control step, raising the same
-    :class:`CellTimeoutError`, instead of silently having no timeout
-    at all.
-    """
-    mechanism = choose_timeout_mechanism(timeout_s)
-    if mechanism == "none":
-        return _execute_cell(cell, ckpt_path, ckpt_every)
-    message = f"cell exceeded the per-cell timeout of {timeout_s} s"
-    if mechanism == "cooperative":
-        warnings.warn(
-            "SIGALRM is unavailable off the main thread / on this "
-            "platform; the per-cell timeout falls back to a cooperative "
-            "deadline polled by the simulation loop (best-effort)",
-            RuntimeWarning, stacklevel=2)
-        with thread_deadline(timeout_s, message, exc_type=CellTimeoutError):
-            return _execute_cell(cell, ckpt_path, ckpt_every)
-    import signal
-
-    def _on_alarm(signum, frame):
-        raise CellTimeoutError(message)
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        return _execute_cell(cell, ckpt_path, ckpt_every)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def timed_cell(
-    cell: "ScenarioCell", timeout_s: Optional[float] = None,
-    ckpt_path: Optional[str] = None, ckpt_every: int = 0,
+    cell: "ScenarioCell", ckpt_path: Optional[str] = None, ckpt_every: int = 0,
     obs_enabled: bool = False,
 ) -> CellItem:
     """(index, outcome, compute seconds, steps) for one cell.
@@ -242,9 +166,9 @@ def timed_cell(
     The measured wall time is harvested into ``SimStats`` and the
     result's own ``wall_time_s`` is zeroed, keeping payloads (and hence
     cache entries and parallel-vs-serial comparisons) deterministic.
-    An exception inside the cell (including a timeout) is captured as a
-    :class:`CellFailure` instead of propagating -- one broken scenario
-    must not abort the grid.
+    An exception inside the cell is captured as a :class:`CellFailure`
+    instead of propagating -- one broken scenario must not abort the
+    grid.
 
     ``obs_enabled`` propagates the parent's observability switch into
     pool workers: a worker with no session of its own configures a
@@ -263,8 +187,7 @@ def timed_cell(
     started = time.perf_counter()
     try:
         try:
-            result: CellOutcome = _execute_with_timeout(
-                cell, timeout_s, ckpt_path, ckpt_every)
+            result: CellOutcome = _execute_cell(cell, ckpt_path, ckpt_every)
         except Exception as exc:
             elapsed = time.perf_counter() - started
             failure = CellFailure(
@@ -298,8 +221,6 @@ class ExecutionContext:
     one sweep.
     """
 
-    #: Per-cell wall-clock budget (None = unbounded).
-    cell_timeout_s: Optional[float] = None
     #: index -> sidecar checkpoint path (journalled sweeps only).
     ckpts: Dict[int, str] = field(default_factory=dict)
     #: In-cell sidecar checkpoint cadence in control steps.
@@ -371,8 +292,7 @@ class LocalProcessExecutor:
         """Run one cell in-process to a final outcome."""
         ctx = self.ctx
         ctx.started(cell.index)
-        item = timed_cell(cell, ctx.cell_timeout_s,
-                          ctx.ckpts.get(cell.index),
+        item = timed_cell(cell, ctx.ckpts.get(cell.index),
                           ctx.checkpoint_every_steps)
         ctx.finalise(item[0], item[1])
         return item
@@ -422,7 +342,7 @@ class LocalProcessExecutor:
                 workers = min(self.workers, len(group))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = [
-                        (pool.submit(timed_cell, cell, ctx.cell_timeout_s,
+                        (pool.submit(timed_cell, cell,
                                      ctx.ckpts.get(cell.index),
                                      ctx.checkpoint_every_steps, obs_on),
                          cell)

@@ -18,11 +18,11 @@ that implicit pattern into an explicit engine:
   the cells whose inputs actually changed;
 * :class:`SimStats` reports throughput (control steps/s), per-phase
   wall times and cache hit/miss counts next to the results;
-* failures are contained per cell: a raising cell (or one that blows
-  its per-cell timeout) comes back as a :class:`CellFailure` carrying
-  the traceback, and a killed worker (``BrokenProcessPool``) triggers
-  one retry in an isolated single-cell pool -- the rest of the
-  grid always completes, and failed cells are never cached;
+* failures are contained per cell: a raising cell comes back as a
+  :class:`CellFailure` carrying the traceback, and a killed worker
+  (``BrokenProcessPool``) triggers one retry in an isolated
+  single-cell pool -- the rest of the grid always completes, and
+  failed cells are never cached;
 * an optional write-ahead run journal
   (:class:`~repro.durability.journal.RunJournal`) makes the sweep
   itself crash-durable: every cell start and every committed result is
@@ -60,8 +60,7 @@ from ..durability.lock import FileLock
 from ..workload.traces import Trace
 from .daily import MultiDayResult
 from .discharge import DischargeResult, SchedulingPolicy
-from .executors import (CellFailure, CellTimeoutError, ExecutionContext,
-                        LocalProcessExecutor, choose_timeout_mechanism)
+from .executors import CellFailure, ExecutionContext, LocalProcessExecutor
 
 __all__ = [
     "ScenarioCell",
@@ -72,7 +71,6 @@ __all__ = [
     "SweepCache",
     "ScenarioRunner",
     "CellFailure",
-    "CellTimeoutError",
 ]
 
 #: Result type of a single scenario cell.
@@ -422,12 +420,6 @@ class SimStats:
     #: custom executor's name; "none" when no executor ran because every
     #: cell came from cache, the journal or a fleet batch).
     executor: str = "none"
-    #: Per-cell timeout mechanism for in-process execution: "none"
-    #: (no budget), "sigalrm" (hard POSIX alarm) or "cooperative"
-    #: (polled per-thread deadline; the off-main-thread / non-POSIX
-    #: fallback).  Pool workers run cells on their own main threads,
-    #: where the POSIX probe gives the same answer as the serial path.
-    timeout_mechanism: str = "none"
 
     @property
     def steps_per_sec(self) -> float:
@@ -648,12 +640,6 @@ class ScenarioRunner:
     salt:
         Cache-key salt override; defaults to :func:`code_salt` so code
         edits invalidate old entries.
-    cell_timeout_s:
-        Optional positive per-cell wall-clock budget; a cell over
-        budget is reported as a :class:`CellFailure`
-        (``CellTimeoutError``).  The mechanism actually used (hard
-        SIGALRM on POSIX main threads, cooperative polled deadline
-        elsewhere) is surfaced as ``SimStats.timeout_mechanism``.
     journal:
         Optional path of a write-ahead run journal.  :meth:`run` then
         records every cell start and every committed result durably
@@ -678,13 +664,16 @@ class ScenarioRunner:
     single-cell pool (:data:`~repro.sim.executors.MAX_CELL_ATTEMPTS`);
     exceptions raised *inside* a cell are never retried.
 
-    Engine choice is automatic.  When no ``executor`` is passed, no
-    per-cell bound is set (``cell_timeout_s`` is None), journalled
-    cells write no sidecar checkpoints (``checkpoint_every_steps`` is
-    0) and obs is off, the pending fleet-supported discharge cells run
-    in this process as one vectorised
-    :class:`repro.fleet.FleetSimulator` batch -- provided there are at
-    least :data:`FLEET_MIN_ROWS` of them.  Their results are
+    No wall-clock bound is applied to a cell: its work is bounded by
+    its inputs, at most ``ceil(max_duration_s / control_dt)`` full
+    control steps per cycle plus one tail step per trace segment.
+
+    Engine choice is automatic.  When no ``executor`` is passed,
+    journalled cells write no sidecar checkpoints
+    (``checkpoint_every_steps`` is 0) and obs is off, the pending
+    fleet-supported discharge cells run in this process as one
+    vectorised :class:`repro.fleet.FleetSimulator` batch -- provided
+    there are at least :data:`FLEET_MIN_ROWS` of them.  Their results are
     bit-for-bit the scalar ones; every other cell runs on the scalar
     engine, which stays the oracle.  ``SimStats.cells_fleet`` and
     ``SimStats.fleet_fallbacks`` count the choice.  ``workers`` never
@@ -696,7 +685,6 @@ class ScenarioRunner:
         workers: Optional[int] = None,
         cache: Union[SweepCache, str, Path, None] = None,
         salt: Optional[str] = None,
-        cell_timeout_s: Optional[float] = None,
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
         executor: Optional[LocalProcessExecutor] = None,
@@ -710,11 +698,8 @@ class ScenarioRunner:
             cache = SweepCache(cache)
         self.cache = cache
         self._salt = salt
-        self.cell_timeout_s = cell_timeout_s
         self.executor = executor
         self.journal = Path(journal) if journal is not None else None
-        if cell_timeout_s is not None and cell_timeout_s <= 0:
-            raise ValueError("cell_timeout_s must be positive")
         if checkpoint_every_steps < 0:
             raise ValueError("checkpoint_every_steps must be non-negative")
         self.checkpoint_every_steps = checkpoint_every_steps
@@ -841,17 +826,16 @@ class ScenarioRunner:
                      observing: bool) -> List[ScenarioCell]:
         """The pending cells that run as one fleet batch (maybe none).
 
-        The fleet engine runs a batch in this process with no per-row
-        wall-clock bound, no sidecar checkpoints and no per-cycle
-        telemetry, so the batch forms only where none of those is
-        asked for, and only when it is big enough to beat the scalar
-        engine (:data:`FLEET_MIN_ROWS`).  The cheap gates run first:
-        :func:`repro.fleet.unsupported_reason` builds a throwaway pack,
-        which can be slow, so it runs once per distinct policy object,
-        and each rejected policy's reason is logged once.
+        The fleet engine runs a batch in this process with no sidecar
+        checkpoints and no per-cycle telemetry, so the batch forms only
+        where neither is asked for, and only when it is big enough to
+        beat the scalar engine (:data:`FLEET_MIN_ROWS`).  The cheap
+        gates run first: :func:`repro.fleet.unsupported_reason` builds
+        a throwaway pack, which can be slow, so it runs once per
+        distinct policy object, and each rejected policy's reason is
+        logged once.
         """
         if (self.executor is not None
-                or self.cell_timeout_s is not None
                 or (journal is not None and self.checkpoint_every_steps)
                 or observing or len(pending) < FLEET_MIN_ROWS):
             return []
@@ -879,8 +863,6 @@ class ScenarioRunner:
         indices to their recorded result pickles."""
         run_started = time.perf_counter()
         stats = SimStats(workers=self.workers)
-        stats.timeout_mechanism = choose_timeout_mechanism(
-            self.cell_timeout_s)
 
         # Observability (default off).  One scope spans the sweep;
         # serially computed cells nest their cycle scopes inside it,
@@ -1029,7 +1011,6 @@ class ScenarioRunner:
                 executor = self.executor or LocalProcessExecutor(
                     self.workers)
                 ctx = ExecutionContext(
-                    cell_timeout_s=self.cell_timeout_s,
                     ckpts=ckpts,
                     checkpoint_every_steps=self.checkpoint_every_steps,
                     obs_enabled=observing,

@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 from ..durability.state import pack_state, unpack_state
 
-__all__ = ["HOT_SPOT_THRESHOLD_C", "ThermostatController", "hot_spot_fraction"]
+__all__ = ["HOT_SPOT_THRESHOLD_C", "ThermostatController"]
 
 #: The paper's hot-spot definition (degC).
 HOT_SPOT_THRESHOLD_C = 45.0
@@ -77,11 +77,3 @@ class ThermostatController:
         payload = unpack_state(self, state, self._STATE_VERSION)
         self._on = payload["on"]
         self._transitions = [tuple(t) for t in payload["transitions"]]
-
-
-def hot_spot_fraction(temps_c: List[float], threshold_c: float = HOT_SPOT_THRESHOLD_C) -> float:
-    """Fraction of samples at or above the hot-spot threshold."""
-    if not temps_c:
-        return 0.0
-    hot = sum(1 for t in temps_c if t >= threshold_c)
-    return hot / len(temps_c)

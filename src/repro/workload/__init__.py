@@ -10,7 +10,7 @@ from .generators import (
     VideoWorkload,
 )
 from .onoff import ScreenToggleWorkload
-from .traces import Trace, TraceWorkload, record_trace
+from .traces import Trace, record_trace
 
 __all__ = [
     "Segment",
@@ -24,6 +24,5 @@ __all__ = [
     "VideoWorkload",
     "ScreenToggleWorkload",
     "Trace",
-    "TraceWorkload",
     "record_trace",
 ]

@@ -17,7 +17,7 @@ from ..device.phone import DemandSlice
 from ..device.syscalls import Syscall, SyscallVocabulary, default_vocabulary
 from .base import Segment, Workload
 
-__all__ = ["Trace", "record_trace", "TraceWorkload"]
+__all__ = ["Trace", "record_trace"]
 
 
 @dataclass
@@ -116,20 +116,3 @@ def record_trace(workload: Workload, duration_s: float) -> Trace:
         segments.append(seg)
         elapsed += seg.duration_s
     return Trace(segments, name=workload.name)
-
-
-class TraceWorkload(Workload):
-    """Replay a recorded trace as a workload (optionally looping)."""
-
-    def __init__(self, trace: Trace, loop: bool = False) -> None:
-        super().__init__(seed=0)
-        self.trace = trace
-        self.loop = loop
-        self.name = trace.name
-
-    def _generate(self, rng) -> Iterator[Segment]:
-        while True:
-            for seg in self.trace:
-                yield seg
-            if not self.loop:
-                return

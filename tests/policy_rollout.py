@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.core.mdp import MDP, Action, State
 
-__all__ = ["Policy", "TabularPolicy", "RandomPolicy", "rollout_return"]
+__all__ = ["Policy", "TabularPolicy", "RandomPolicy", "rollout_return",
+           "sample_successor"]
 
 
 class Policy:
@@ -53,6 +54,16 @@ class RandomPolicy(Policy):
         return acts[int(self._rng.integers(len(acts)))]
 
 
+def sample_successor(mdp: MDP, state: State, action: Action,
+                     rng: np.random.Generator) -> State:
+    """Draw one successor state."""
+    dist = mdp.transitions[(state, action)]
+    keys = list(dist)
+    probs = np.array([dist[k] for k in keys], dtype=float)
+    probs = probs / probs.sum()
+    return keys[int(rng.choice(len(keys), p=probs))]
+
+
 def rollout_return(
     mdp: MDP,
     policy: Policy,
@@ -75,7 +86,7 @@ def rollout_return(
             a = policy.action(s)
             if a is None:
                 break
-            sp = mdp.sample_successor(s, a, rng)
+            sp = sample_successor(mdp, s, a, rng)
             acc += discount * mdp.reward(s, a, sp)
             discount *= rho
             s = sp

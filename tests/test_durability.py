@@ -1,10 +1,9 @@
 """Unit tests for the durability layer.
 
 Covers the versioned state-dict discipline, checksummed checkpoints,
-the write-ahead journal's torn-tail recovery, run budgets, cooperative
-deadlines and the advisory file lock -- each in
-isolation, before the integration tests exercise them through the
-simulation harnesses.
+the write-ahead journal's torn-tail recovery, run budgets and the
+advisory file lock -- each in isolation, before the integration tests
+exercise them through the simulation harnesses.
 """
 
 import os
@@ -16,13 +15,6 @@ import time
 import pytest
 
 from repro.durability.budget import BudgetExceededError, RunBudget
-from repro.durability.deadline import (
-    DeadlineExceededError,
-    clear_deadline,
-    poll_deadline,
-    set_deadline,
-    thread_deadline,
-)
 from repro.durability.journal import (
     JournalError,
     RunJournal,
@@ -317,38 +309,6 @@ class TestRunBudget:
         ckpt = SimCheckpoint.create("test", {})
         err = BudgetExceededError("over", ckpt)
         assert err.checkpoint is ckpt
-
-
-# ----------------------------------------------------------------------
-# deadline.py
-# ----------------------------------------------------------------------
-class TestDeadlines:
-    def teardown_method(self):
-        clear_deadline()
-
-    def test_unarmed_poll_is_noop(self):
-        poll_deadline()
-
-    def test_expiry_raises_custom_type(self):
-        class MyTimeout(DeadlineExceededError):
-            pass
-
-        set_deadline(0.0, "too slow", exc_type=MyTimeout)
-        time.sleep(0.001)
-        with pytest.raises(MyTimeout, match="too slow"):
-            poll_deadline()
-        poll_deadline()  # one-shot: consumed on raise
-
-    def test_clear_disarms(self):
-        set_deadline(0.0)
-        clear_deadline()
-        time.sleep(0.001)
-        poll_deadline()
-
-    def test_context_manager(self):
-        with thread_deadline(60.0):
-            poll_deadline()
-        poll_deadline()
 
 
 # ----------------------------------------------------------------------

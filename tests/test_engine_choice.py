@@ -155,12 +155,11 @@ def test_fleet_failure_is_counted_and_falls_back_to_scalar(monkeypatch):
 
 
 def test_ineligible_runners_keep_the_scalar_path(tmp_path):
-    """Bounded and sidecar-checkpointed sweeps never batch."""
+    """Sidecar-checkpointed sweeps never batch."""
     spec = _spec(FLEET_MIN_ROWS)
-    for runner in (ScenarioRunner(cell_timeout_s=60.0),
-                   ScenarioRunner(journal=tmp_path / "ckpt.journal",
-                                  checkpoint_every_steps=10)):
-        assert runner.run(spec).stats.cells_fleet == 0
+    runner = ScenarioRunner(journal=tmp_path / "ckpt.journal",
+                            checkpoint_every_steps=10)
+    assert runner.run(spec).stats.cells_fleet == 0
 
 
 def test_rejected_policies_log_their_reason_once(caplog):

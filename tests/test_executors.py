@@ -1,15 +1,11 @@
-"""Tests for the LocalProcessExecutor interface and the per-cell timeout
-mechanism surfacing (no more silent degradation off the main thread)."""
-
-import threading
-import warnings
+"""Tests for the LocalProcessExecutor interface: attach/detach, batch
+runs with per-cell commits, and custom executors."""
 
 import pytest
 
 from repro.capman.baselines import DualPolicy
 from repro.sim.executors import (CellFailure, ExecutionContext,
-                                 LocalProcessExecutor,
-                                 choose_timeout_mechanism, timed_cell)
+                                 LocalProcessExecutor)
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -79,51 +75,3 @@ class TestInterface:
         result = ScenarioRunner(executor=ex).run(_spec(trace))
         assert result.stats.executor == "recording"
         assert ex.seen == [1]
-
-
-class TestTimeoutMechanism:
-    def test_choice_on_main_thread_is_sigalrm(self):
-        assert choose_timeout_mechanism(5.0) == "sigalrm"
-        assert choose_timeout_mechanism(None) == "none"
-        assert choose_timeout_mechanism(0.0) == "none"
-
-    def test_choice_off_main_thread_is_cooperative(self):
-        seen = []
-        thread = threading.Thread(
-            target=lambda: seen.append(choose_timeout_mechanism(5.0)))
-        thread.start()
-        thread.join()
-        assert seen == ["cooperative"]
-
-    def test_stats_surface_chosen_mechanism(self, trace):
-        no_budget = ScenarioRunner(workers=1).run(_spec(trace))
-        assert no_budget.stats.timeout_mechanism == "none"
-        budgeted = ScenarioRunner(workers=1, cell_timeout_s=60.0).run(
-            _spec(trace, ambients_c=(30.0,)))
-        assert budgeted.stats.timeout_mechanism == "sigalrm"
-
-    def test_cooperative_fallback_raises_same_contract(self, trace):
-        """Off the main thread the budget degrades to the polled
-        deadline -- with a warning -- but still produces a CellFailure
-        of the same CellTimeoutError type, never a silent no-timeout.
-
-        Deterministic: the budget is far below one cell's compute
-        time, so the first in-loop poll after it elapses must fire.
-        """
-        cell = _spec(trace).expand()[0]
-        out = {}
-
-        def run_in_thread():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out["item"] = timed_cell(cell, timeout_s=0.001)
-                out["warnings"] = [str(w.message) for w in caught]
-
-        thread = threading.Thread(target=run_in_thread)
-        thread.start()
-        thread.join()
-        failure = out["item"][1]
-        assert isinstance(failure, CellFailure)
-        assert failure.error_type == "CellTimeoutError"
-        assert "per-cell timeout" in failure.message
-        assert any("cooperative" in msg for msg in out["warnings"])

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.thermal.hotspot import (
-    HOT_SPOT_THRESHOLD_C,
-    ThermostatController,
-    hot_spot_fraction,
-)
+from repro.thermal.hotspot import HOT_SPOT_THRESHOLD_C, ThermostatController
 
 
 class TestThermostat:
@@ -41,14 +37,3 @@ class TestThermostat:
     def test_negative_hysteresis_rejected(self):
         with pytest.raises(ValueError):
             ThermostatController(hysteresis_k=-1.0)
-
-
-class TestHotSpotFraction:
-    def test_empty_is_zero(self):
-        assert hot_spot_fraction([]) == 0.0
-
-    def test_counts_threshold_crossings(self):
-        assert hot_spot_fraction([44.0, 45.0, 46.0, 40.0]) == pytest.approx(0.5)
-
-    def test_custom_threshold(self):
-        assert hot_spot_fraction([30.0, 41.0], threshold_c=40.0) == pytest.approx(0.5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from policy_rollout import sample_successor
 from repro.core.mdp import MDP, random_mdp
 
 
@@ -74,7 +75,7 @@ class TestMDPQueries:
         mdp = _two_state_mdp()
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert mdp.sample_successor("s0", "a", rng) == "s1"
+            assert sample_successor(mdp, "s0", "a", rng) == "s1"
 
 
 class TestRandomMdp:

@@ -109,6 +109,35 @@ class TestContract:
         assert code == 400
         assert body["error"]["code"] == "grid_too_large"
 
+    @pytest.mark.parametrize("patch", [
+        {"control_dts": [1e-9]},
+        {"control_dts": [0.0]},
+        {"control_dts": [float("nan")]},
+        {"max_duration_s": float("nan")},
+        {"max_duration_s": float("inf")},
+        {"max_duration_s": 1e15},
+        {"max_duration_s": -5.0},
+        {"ambients_c": [float("inf")]},
+        {"policies": {"S": {"type": "slow_dual", "delay_s": 1e9}}},
+        {"policies": {"S": {"type": "slow_dual", "delay_s": -1.0}}},
+        {"extra": {"bogus": 1}},
+        {"kind": "daily", "extra": {"tec_threshold_c": 40.0}},
+        {"kind": "daily", "extra": {"n_days": 0}},
+        {"kind": "daily", "extra": {"n_days": 10_000}},
+        *({"traces": {"T": {"rows": [{
+            "duration_s": duration, "syscall": None, "cpu_util": 40.0,
+            "freq_index": 1, "screen_on": True, "brightness": 0.5,
+            "wifi_kbps": 0.0}]}}} for duration in (1e-10, float("nan"))),
+    ], ids=lambda patch: json.dumps(patch))
+    def test_unbounded_cell_is_400(self, base, patch):
+        """A body whose cell has no finite, bounded amount of work is
+        refused before it is queued."""
+        grid = small_grid(capacities=(30.0,))
+        grid.update(patch)
+        code, body = api(base, "POST", "/jobs", body=grid, token=SECRET)
+        assert code == 400
+        assert body["error"]["code"] == "invalid_spec"
+
     def test_unknown_route_is_404(self, base):
         code, body = api(base, "GET", "/nope", token=SECRET)
         assert code == 404

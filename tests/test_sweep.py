@@ -20,7 +20,6 @@ from repro.sim.daily import MultiDayResult
 from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import (
     CellFailure,
-    CellTimeoutError,
     ScenarioRunner,
     SweepCache,
     SweepSpec,
@@ -49,14 +48,6 @@ class WorkerKillerPolicy(DualPolicy):
 
     def build_pack(self):
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-class SlowPolicy(DualPolicy):
-    """A policy that hangs long enough to blow a short per-cell timeout."""
-
-    def build_pack(self):
-        time.sleep(30.0)
-        return super().build_pack()
 
 
 @pytest.fixture(scope="module")
@@ -433,17 +424,6 @@ class TestFailureContainment:
                 == out.stats.cell_retries)
         assert "sweep.retries" not in out.telemetry.counters
 
-    def test_cell_timeout_reported(self, trace):
-        spec = self._mixed_spec(trace, SlowPolicy(capacity_mah=40.0))
-        started = time.monotonic()
-        out = ScenarioRunner(workers=1, cell_timeout_s=1.0).run(spec)
-        # The hang sits before any poll_deadline(), so only SIGALRM can cut it.
-        assert time.monotonic() - started < 10.0
-        [(cell, failure)] = out.failures
-        assert cell.policy_key == "Bad"
-        assert failure.error_type == "CellTimeoutError"
-        assert len(out.succeeded) == 2
-
     def test_failures_never_cached(self, trace, tmp_path):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
         first = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
@@ -453,11 +433,6 @@ class TestFailureContainment:
         assert second.stats.cache_hits == 2
         assert second.stats.cache_misses == 1
         assert second.stats.cells_failed == 1
-
-    def test_non_positive_cell_timeout_rejected(self):
-        for timeout_s in (0, -1):
-            with pytest.raises(ValueError, match="cell_timeout_s"):
-                ScenarioRunner(cell_timeout_s=timeout_s)
 
     def test_failure_str_and_outcome_split(self, trace):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))

@@ -5,7 +5,7 @@ import pytest
 from repro.device.phone import DemandSlice
 from repro.workload.base import Segment
 from repro.workload.generators import VideoWorkload
-from repro.workload.traces import Trace, TraceWorkload, record_trace
+from repro.workload.traces import Trace, record_trace
 
 
 class TestRecordTrace:
@@ -51,23 +51,3 @@ class TestTrace:
             assert (a.syscall is None) == (b.syscall is None)
             if a.syscall is not None:
                 assert a.syscall.name == b.syscall.name
-
-
-class TestTraceWorkload:
-    def test_replay_matches_trace(self):
-        trace = record_trace(VideoWorkload(seed=3), 60.0)
-        replayed = list(TraceWorkload(trace).segments())
-        assert len(replayed) == len(trace)
-
-    def test_non_looping_ends(self):
-        trace = record_trace(VideoWorkload(seed=3), 30.0)
-        segs = list(TraceWorkload(trace, loop=False).segments())
-        assert len(segs) == len(trace)
-
-    def test_looping_repeats(self):
-        import itertools
-
-        trace = record_trace(VideoWorkload(seed=3), 30.0)
-        segs = list(itertools.islice(TraceWorkload(trace, loop=True).segments(),
-                                     2 * len(trace)))
-        assert len(segs) == 2 * len(trace)
