@@ -17,14 +17,18 @@ content-hash job identity (and the shared result cache under it)
 safe to share across tenants.
 
 A cell's work is fixed by its inputs, so the service bounds it by
-checking them: every duration and step size must be finite and
-positive, and no cell may take more than :data:`MAX_CELL_STEPS`
-control steps.  Nothing bounds a cell while it runs.
+checking them: every duration, step, ambient and trace argument must
+be finite, every duration and step size positive, no recorded trace
+segment shorter than :data:`MIN_SEGMENT_S`, and no cell may take more
+than :data:`MAX_CELL_STEPS` control steps.  Nothing bounds a cell
+while it runs.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..capman.baselines import (DualPolicy, HeuristicPolicy, PracticePolicy,
@@ -33,6 +37,7 @@ from ..capman.controller import CapmanPolicy
 from ..device.phone import DemandSlice
 from ..device.profiles import PHONES
 from ..device.syscalls import default_vocabulary
+from ..sim.daily import run_days
 from ..sim.sweep import SweepSpec
 from ..testing import SlowDualPolicy
 from ..workload.base import Segment
@@ -48,6 +53,7 @@ __all__ = [
     "MAX_CELL_STEPS",
     "MAX_GRID_CELLS",
     "MAX_TRACE_SECONDS",
+    "MIN_SEGMENT_S",
     "parse_spec",
 ]
 
@@ -103,6 +109,9 @@ MAX_CELL_STEPS = 1_000_000
 #: Longest ``slow_dual.delay_s`` (wall seconds) a client may ask for.
 _MAX_SLOW_DELAY_S = 10.0
 
+#: Days a "daily" cell runs when ``extra`` sets no ``n_days``.
+_DEFAULT_N_DAYS = inspect.signature(run_days).parameters["n_days"].default
+
 #: The ``extra`` run arguments a client may set, per sweep kind.
 _EXTRA_KEYS = {
     "discharge": ("tec_threshold_c", "brownout_limit"),
@@ -111,6 +120,11 @@ _EXTRA_KEYS = {
 
 #: Hard ceiling on one recorded/inline trace (simulated seconds).
 MAX_TRACE_SECONDS = 48.0 * 3600.0
+
+#: Shortest ``segment_s`` a generator recipe may ask for: the shortest
+#: segment any other generator emits, so a recorded trace holds at most
+#: ``MAX_TRACE_SECONDS / MIN_SEGMENT_S`` segments.
+MIN_SEGMENT_S = 0.5
 
 #: Fields an inline trace row must carry (the Trace.save format).
 _ROW_FIELDS = ("duration_s", "syscall", "cpu_util", "freq_index",
@@ -132,14 +146,16 @@ def _require_mapping(obj: Any, what: str) -> Mapping[str, Any]:
 def _require_number(obj: Any, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise _bad(f"{what} must be a number, got {type(obj).__name__}")
+    # json.loads accepts NaN, Infinity and integers too large for a
+    # float; no field takes any of them.  NaN fails the comparison.
+    if not abs(obj) <= sys.float_info.max:
+        raise _bad(f"{what} must be finite, got {obj}")
     return float(obj)
 
 
-def _require_finite(value: float, what: str, positive: bool = False) -> None:
-    # json.loads accepts the NaN and Infinity literals.
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise _bad(f"{what} must be a finite"
-                   f"{' positive' if positive else ''} number, got {value}")
+def _require_positive(value: float, what: str) -> None:
+    if value <= 0:
+        raise _bad(f"{what} must be positive, got {value}")
 
 
 def _construct(cls: type, kwargs: Dict[str, Any], what: str) -> Any:
@@ -168,7 +184,7 @@ def parse_policy(name: str, obj: Any) -> SchedulingPolicy:
     policy = _construct(POLICY_TYPES[kind], kwargs, f"policy {name!r}")
     if isinstance(policy, SlowDualPolicy):
         delay = _require_number(policy.delay_s, f"policy {name!r} delay_s")
-        if not 0.0 <= delay <= _MAX_SLOW_DELAY_S:  # False for NaN too
+        if not 0.0 <= delay <= _MAX_SLOW_DELAY_S:
             raise _bad(f"policy {name!r} delay_s must be in "
                        f"[0, {_MAX_SLOW_DELAY_S:.0f}] s, got {delay}")
     return policy
@@ -196,7 +212,6 @@ def _parse_trace_rows(name: str, rows: Any) -> Trace:
                            code="unknown_syscall") from None
         duration = _require_number(row["duration_s"],
                                    f"trace {name!r} row {i} duration_s")
-        _require_finite(duration, f"trace {name!r} row {i} duration_s")
         try:
             segments.append(Segment(
                 DemandSlice(
@@ -244,6 +259,11 @@ def parse_trace(name: str, obj: Any) -> Trace:
                    code="trace_too_long" if duration > 0 else "invalid_spec")
     kwargs = {k: v for k, v in obj.items()
               if k not in ("workload", "duration_s")}
+    for key, value in kwargs.items():
+        _require_number(value, f"trace {name!r} {key}")
+    if kwargs.get("segment_s", MIN_SEGMENT_S) < MIN_SEGMENT_S:
+        raise _bad(f"trace {name!r} segment_s must be at least "
+                   f"{MIN_SEGMENT_S} s, got {kwargs['segment_s']}")
     workload = _construct(WORKLOAD_TYPES[kind], kwargs, f"trace {name!r}")
     trace = record_trace(workload, duration)
     return Trace(trace.segments, name=str(name))
@@ -289,16 +309,20 @@ def _parse_floats(payload: Mapping[str, Any], key: str,
                  for i, v in enumerate(values))
 
 
-def _parse_extra(payload: Mapping[str, Any], kind: str) -> Dict[str, Any]:
+def _parse_extra(payload: Mapping[str, Any],
+                 kind: str) -> Tuple[Dict[str, Any], int]:
+    """The validated ``extra`` arguments and the days a cell runs."""
     extra = dict(_require_mapping(payload.get("extra", {}), "extra"))
     unknown = sorted(set(extra) - set(_EXTRA_KEYS[kind]))
     if unknown:
         raise _bad(f"unknown extra arguments for a {kind} sweep",
                    unknown=unknown, known=list(_EXTRA_KEYS[kind]))
-    n_days = extra.get("n_days", 1)
+    if kind != "daily":
+        return extra, 1
+    n_days = extra.get("n_days", _DEFAULT_N_DAYS)
     if isinstance(n_days, bool) or not isinstance(n_days, int) or n_days < 1:
         raise _bad("extra n_days must be a positive integer")
-    return extra
+    return extra, n_days
 
 
 def _cell_step_bound(max_duration: float, control_dt: float,
@@ -333,22 +357,19 @@ def parse_spec(payload: Any) -> SweepSpec:
     ambients = _parse_floats(payload, "ambients_c", (25.0,))
     max_duration = _require_number(
         payload.get("max_duration_s", 3.0 * 3600.0), "max_duration_s")
-    _require_finite(max_duration, "max_duration_s", positive=True)
-    for i, dt in enumerate(control_dts):
-        _require_finite(dt, f"control_dts[{i}]", positive=True)
-    for i, ambient in enumerate(ambients):
-        _require_finite(ambient, f"ambients_c[{i}]")
+    _require_positive(max_duration, "max_duration_s")
+    _require_positive(min(control_dts), "control_dts")
     record_every = payload.get("record_every", 1)
     if isinstance(record_every, bool) or not isinstance(record_every, int) \
             or record_every < 1:
         raise _bad("record_every must be a positive integer")
-    extra = _parse_extra(payload, kind)
+    extra, n_days = _parse_extra(payload, kind)
     n_cells = (len(policies) * len(traces) * len(profiles)
                * len(control_dts) * len(ambients))
     if n_cells > MAX_GRID_CELLS:
         raise _bad(f"grid expands to {n_cells} cells "
                    f"(limit {MAX_GRID_CELLS})", code="grid_too_large")
-    steps = extra.get("n_days", 1) * max(
+    steps = n_days * max(
         _cell_step_bound(max_duration, min(control_dts), trace)
         for trace in traces.values())
     if steps > MAX_CELL_STEPS:

@@ -124,6 +124,13 @@ class TestContract:
         {"kind": "daily", "extra": {"tec_threshold_c": 40.0}},
         {"kind": "daily", "extra": {"n_days": 0}},
         {"kind": "daily", "extra": {"n_days": 10_000}},
+        {"kind": "daily", "max_duration_s": 86_400.0},
+        *({"traces": {"T": {"workload": workload, "seed": 1,
+                            "duration_s": 60.0, **kwargs}}}
+          for workload, kwargs in (
+              ("idle", {"segment_s": 1e-3}),
+              ("idle", {"segment_s": float("nan")}),
+              ("skewed_burst", {"mean_gap_s": float("nan")}))),
         *({"traces": {"T": {"rows": [{
             "duration_s": duration, "syscall": None, "cpu_util": 40.0,
             "freq_index": 1, "screen_on": True, "brightness": 0.5,
