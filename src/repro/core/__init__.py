@@ -15,7 +15,7 @@ from .mdp import MDP, random_mdp
 from .minflow import transport_dense
 from .online import DecisionRecord, OnlineScheduler, SchedulerStats
 from .similarity import SimilarityResult, SolverStats, StructuralSimilarity
-from .solver import Solution, value_iteration
+from .solver import Solution, optimal_policy, value_iteration
 
 __all__ = [
     "BoundCheck",
@@ -38,4 +38,5 @@ __all__ = [
     "StructuralSimilarity",
     "Solution",
     "value_iteration",
+    "optimal_policy",
 ]

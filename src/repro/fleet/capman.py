@@ -35,8 +35,15 @@ power row, wifi threshold, policy learning parameters):
 (schedule content, base powers, wifi threshold, capacity/rho/replan
 parameters) content-hash matches would learn identical models at
 identical steps, so they share one profiler replay and one table --
-a homogeneous sub-fleet pays one ``value_iteration`` instead of N
+a homogeneous sub-fleet pays one solve instead of N
 (``trajectory_dedupe_hits`` counts the rows saved).
+
+**A solve needs only the policy.**  The table keeps the solved
+policy and nothing else, so a boundary calls
+:func:`~repro.core.solver.optimal_policy`: an exact policy-iteration
+solve whose certificate proves it equals value iteration's policy,
+and value iteration itself where the certificate refuses
+(``solve_fallbacks`` counts those).
 
 **The per-step decision is pure fancy indexing.**  The model lookup is
 ``tables[traj_of_row, seg_code * 2 + active_big]`` (-1 where the
@@ -51,7 +58,7 @@ chained.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +66,7 @@ from ..capman.controller import SOC_FLOOR, CapmanPolicy
 from ..capman.profiler import (BatteryCostModel, DecisionStateInterner,
                                PowerProfiler, device_key_of)
 from ..core.online import compile_decision_table
-from ..core.solver import value_iteration
+from ..core.solver import optimal_policy
 from ..thermal.hotspot import HOT_SPOT_THRESHOLD_C
 from ..workload.base import Segment
 from .policies import (CHOICE_BIG, CHOICE_LITTLE, Entry, StepObservation,
@@ -187,19 +194,21 @@ class _LearningTrajectory:
                 )
         self._replayed = max(self._replayed, upto_event + 1)
 
-    def compile(self) -> np.ndarray:
+    def compile(self) -> Tuple[np.ndarray, bool]:
         """One replan boundary: rebuild, solve, flatten to a table.
 
-        ``value_iteration(mdp, rho)`` is exactly what
-        ``OnlineScheduler.__init__`` runs to obtain ``solution``; the
-        scheduler's similarity graph is never consulted for known
+        Returns ``(table, certified)``.  ``optimal_policy(mdp, rho)``
+        returns the policy of ``value_iteration(mdp, rho)``, which is
+        what ``OnlineScheduler.__init__`` runs to obtain ``solution``;
+        ``certified`` is False where it had to run value iteration.
+        The scheduler's similarity graph is never consulted for known
         states, so the fleet skips constructing it.
         """
         mdp = self.profiler.build_decision_mdp()
-        solution = value_iteration(mdp, self.rho)
+        policy, certified = optimal_policy(mdp, self.rho)
         return compile_decision_table(
-            solution.policy, self.interner.state_code_of,
-            self.interner.n_states, _ACTION_CODE)
+            policy, self.interner.state_code_of,
+            self.interner.n_states, _ACTION_CODE), certified
 
 
 @register_vector_driver(CapmanPolicy)
@@ -213,6 +222,8 @@ class VectorCapmanDriver:
         self.interner = DecisionStateInterner()
         #: Boundary solves performed (one per trajectory per boundary).
         self.table_compiles = 0
+        #: Boundary solves the certificate refused (value iteration ran).
+        self.solve_fallbacks = 0
         #: Rows that joined an existing trajectory instead of solving.
         self.trajectory_dedupe_hits = 0
 
@@ -269,8 +280,9 @@ class VectorCapmanDriver:
                 continue
             event = trajectory.boundary_events[trajectory.next_boundary]
             trajectory.advance(event)
-            self.tables[g] = trajectory.compile()
+            self.tables[g], certified = trajectory.compile()
             self.table_compiles += 1
+            self.solve_fallbacks += not certified
             trajectory.next_boundary += 1
             if trajectory.next_boundary < len(trajectory.boundary_events):
                 self.next_replan_step[g] = np.int64(

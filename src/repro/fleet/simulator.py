@@ -17,6 +17,13 @@ in the BIG slot, a zero-charge phantom in the LITTLE slot, and the
 select, failover, supercap, rail arithmetic, big/LITTLE time -- and
 reads the SoC off the one cell.
 
+Per-cell state and parameters are ``(2, N)`` arrays (BIG row, LITTLE
+row), so each cell kernel runs once for both cells, and the active
+cell's values are gathers through one flat index.  A branch whose row
+mask is usually empty (a switch, a failover, the TEC, a brownout) runs
+only when its mask has a row; skipping it on an empty mask changes no
+element.
+
 Two structural tricks keep that contract watertight:
 
 * **Phase split.**  Phase A (policy decision, battery select,
@@ -48,13 +55,18 @@ from ..sim.metrics import MetricsRecorder
 from .policies import (CHOICE_BIG, CHOICE_NONE, StepObservation,
                        make_decision_drivers)
 from .spec import NODE_NAMES, initial_state_from_phones, slot_cells
-from .state import FleetState
+from .state import BIG_SLOT, LITTLE_SLOT
 from . import capman as _capman  # noqa: F401  (registers VectorCapmanDriver)
 
 __all__ = ["FleetSimulator"]
 
 _BIG = BatterySelection.BIG
 _LITTLE = BatterySelection.LITTLE
+
+#: The branches of :meth:`FleetSimulator.step` that run only when their
+#: row mask is non-empty, as counted in ``branch_steps``.
+GUARDED_BRANCHES = ("select", "predraw_failover", "supercap",
+                    "deficit_failover", "tec", "hot", "empty", "brownout")
 
 
 def _can_serve(dep, maxp, tv, avail, p, dt):
@@ -64,18 +76,42 @@ def _can_serve(dep, maxp, tv, avail, p, dt):
     return ~dep & ((p <= 0.0) | ok)
 
 
+def _step_tables(schedules: Sequence,
+                 thermal_sub: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-schedule step columns, padded to the longest schedule.
+
+    Returns ``(times, ints)``: ``times[:, s, j]`` holds the start and
+    length of schedule ``s``'s step ``j``, and ``ints[:, s, j]`` its
+    segment index and thermal substep count (the column twin of
+    ``conduction.substep_count``, a function of the length alone).
+    Padding steps have length 1.0; no row runs them.
+    """
+    width = max(sched.n_steps for sched in schedules)
+    times = np.zeros((2, len(schedules), width))
+    times[1] = 1.0
+    ints = np.zeros((2, len(schedules), width), dtype=np.int64)
+    for s, sched in enumerate(schedules):
+        times[0, s, :sched.n_steps] = sched.starts
+        times[1, s, :sched.n_steps] = sched.dts
+        ints[0, s, :sched.n_steps] = sched.seg_of_step
+    ints[1] = np.minimum(np.maximum(np.ceil(times[1] / thermal_sub), 1.0),
+                         100_000.0).astype(np.int64)
+    return times, ints
+
+
 class FleetSimulator:
     """Advances a fleet built by :meth:`repro.fleet.spec.FleetSpec.build`."""
 
     def __init__(self, spec, phones, policies, schedules, params,
-                 base_tbl, cpu_tbl, n_steps, topology) -> None:
+                 demand_tbl, n_steps, topology) -> None:
         self.spec = spec
         self.phones = phones
         self.policies = policies
         self.schedules = schedules
         self.p: Dict[str, np.ndarray] = params
-        self.base_tbl = base_tbl
-        self.cpu_tbl = cpu_tbl
+        #: ``(3, N, max_segs)``: base, CPU and surface power per segment.
+        self.demand_tbl = demand_tbl
+        self.base_tbl, self.cpu_tbl, _ = demand_tbl
         self.n_steps = n_steps
         self.max_steps = int(n_steps.max())
         # topology: (names, index_links, (index, capacity) actives, substep)
@@ -86,33 +122,39 @@ class FleetSimulator:
         self.n = len(phones)
         self.state = initial_state_from_phones(phones)
         self._rows = np.arange(self.n)
+        # Flat indices into a (2, N) per-cell array: a row's BIG and
+        # LITTLE elements, and their sum (so idle = sum - active).
+        self._flat_little = self._rows + self.n
+        self._flat_sum = self._rows + self._flat_little
+        self._cell_params = params["cell"].reshape(-1, 2 * self.n)
         self._single = params["single"]
         self._dual = ~self._single
+        self._any_single = bool(np.count_nonzero(self._single))
+        # Same subtraction the thermostat performs per step.
+        self._thr_off = params["thr_threshold_c"] - params["thr_hysteresis_k"]
+        self._record_all = bool((params["record_every"] == 1).all())
+        #: Steps after which some row's schedule ends.
+        self._last_steps = set((n_steps - 1).tolist())
 
-        # Group rows by shared schedule for per-step column assembly.
-        by_sched: Dict[int, List[int]] = {}
-        uniq: Dict[int, object] = {}
-        for i, sched in enumerate(schedules):
-            by_sched.setdefault(id(sched), []).append(i)
-            uniq[id(sched)] = sched
-        self.groups = [(uniq[key], np.asarray(rows, dtype=np.int64))
-                       for key, rows in by_sched.items()]
+        # Per-step columns: each row reads its schedule's column.
+        distinct = list({id(sched): sched for sched in schedules}.values())
+        index = {id(sched): i for i, sched in enumerate(distinct)}
+        self._sched_of_row = np.asarray(
+            [index[id(sched)] for sched in schedules], dtype=np.int64)
+        self._times, self._ints = _step_tables(distinct, self.thermal_sub)
 
         # Partition rows into per-type vector drivers + scalar adapter.
         self.drivers, self.rows_adapted = make_decision_drivers(
             policies, schedules, self)
         self.rows_vectorised = self.n - self.rows_adapted
 
-        # Reused per-step columns.
-        self._starts = np.zeros(self.n, dtype=np.float64)
-        self._dts = np.ones(self.n, dtype=np.float64)
-        self._segi = np.zeros(self.n, dtype=np.int64)
-
         #: ``(rows, t, soc, cpu, power, voltage)`` snapshots for metrics.
         self._snapshots: List[Tuple] = []
         self._results: Optional[List[DischargeResult]] = None
         #: Rows replayed through the scalar fallback, for diagnostics.
         self.fallback_steps = 0
+        #: Steps on which each mask-guarded branch of :meth:`step` ran.
+        self.branch_steps: Dict[str, int] = dict.fromkeys(GUARDED_BRANCHES, 0)
         self._counters_exported = False
 
     # ------------------------------------------------------------------
@@ -138,6 +180,11 @@ class FleetSimulator:
         return sum(getattr(d, "table_compiles", 0) for d in self.drivers)
 
     @property
+    def solve_fallbacks(self) -> int:
+        """CAPMAN solves the optimality certificate refused."""
+        return sum(getattr(d, "solve_fallbacks", 0) for d in self.drivers)
+
+    @property
     def trajectory_dedupe_hits(self) -> int:
         """CAPMAN rows that shared another row's learned trajectory."""
         return sum(getattr(d, "trajectory_dedupe_hits", 0)
@@ -158,6 +205,7 @@ class FleetSimulator:
         reg.counter("fleet.rows_adapted").inc(self.rows_adapted)
         reg.counter("fleet.fallback_steps").inc(self.fallback_steps)
         reg.counter("fleet.table_compiles").inc(self.table_compiles)
+        reg.counter("fleet.solve_fallbacks").inc(self.solve_fallbacks)
         reg.counter("fleet.trajectory_dedupe_hits").inc(
             self.trajectory_dedupe_hits)
 
@@ -168,31 +216,29 @@ class FleetSimulator:
         st = self.state
         p = self.p
         rows = self._rows
+        n = self.n
 
         # -- Column assembly ------------------------------------------
-        starts, dts_col, segi = self._starts, self._dts, self._segi
-        for sched, grp in self.groups:
-            if j < sched.n_steps:
-                starts[grp] = sched.starts[j]
-                dts_col[grp] = sched.dts[j]
-                segi[grp] = sched.seg_of_step[j]
+        # A row past its schedule reads the padding and does not run.
         run = st.alive & (j < self.n_steps)
-        if not run.any():
+        if not np.count_nonzero(run):
             st.alive[:] = False
             return
-        dt = np.where(run, dts_col, 1.0)
-        base_w = self.base_tbl[rows, segi]
-        cpu_w = self.cpu_tbl[rows, segi]
+        all_run = np.count_nonzero(run) == n
+        starts, dt = self._times[:, :, j][:, self._sched_of_row]
+        segi, thermal_counts = self._ints[:, :, j][:, self._sched_of_row]
+        base_w, cpu_w, surf_w = self.demand_tbl[:, rows, segi]
 
         # -- Phase A: observe, decide, select, thermostat -------------
-        single, dual = self._single, self._dual
-        soc_b = K.state_of_charge(st.avail_b, st.bound_b, p["cap_b"])
-        soc_l = K.state_of_charge(st.avail_l, st.bound_l, p["cap_l"])
+        single = self._single
+        run_dual = run & self._dual
+        soc = K.state_of_charge(st.avail, st.bound, p["cap"])
+        soc_b, soc_l = soc
         t_cpu = st.node_temps[0]
         t_surf = st.node_temps[2]
 
         # A single pack shows its one cell's SoC as both SoCs.
-        choices = np.full(self.n, CHOICE_NONE, dtype=np.int8)
+        choices = np.full(n, CHOICE_NONE, dtype=np.int8)
         obs = StepObservation(j=j, run=run, starts=starts, dts=dt,
                               segi=segi, soc_big=soc_b,
                               soc_little=np.where(single, soc_b, soc_l),
@@ -201,154 +247,143 @@ class FleetSimulator:
         for driver in self.drivers:
             driver.decide(obs, choices)
 
-        dep_b = st.avail_b <= 1e-9
-        dep_l = st.avail_l <= 1e-9
+        dep = st.avail <= 1e-9
+        dep_b, dep_l = dep
 
         # pack.select: depleted-target fallback, then switch.request
         # (Phone.select_battery is a no-op on single packs).
-        has = run & dual & (choices >= 0)
         tgt_big = choices == CHOICE_BIG
-        dep_t = np.where(tgt_big, dep_b, dep_l)
-        dep_o = np.where(tgt_big, dep_l, dep_b)
-        tgt_big = np.where(dep_t & ~dep_o, ~tgt_big, tgt_big)
-        dwell_ok = ~((st.clock_s - st.last_switch_s) < p["sw_dwell_s"])
-        commit = has & (tgt_big != st.active_big) & dwell_ok
-        st.active_big = np.where(commit, tgt_big, st.active_big)
-        st.last_switch_s = np.where(commit, st.clock_s, st.last_switch_s)
-        st.switch_events = st.switch_events + commit
-        st.sw_energy_spent_j = np.where(
-            commit, st.sw_energy_spent_j + p["sw_energy_j"],
-            st.sw_energy_spent_j)
-        st.sw_heat_pending_j = np.where(
-            commit, st.sw_heat_pending_j + p["sw_heat_j"],
-            st.sw_heat_pending_j)
+        redirect = (np.where(tgt_big, dep_b, dep_l)
+                    & ~np.where(tgt_big, dep_l, dep_b))
+        tgt_big = tgt_big ^ redirect
+        commit = run_dual & (choices >= 0) & (tgt_big != st.active_big)
+        if np.count_nonzero(commit):
+            self.branch_steps["select"] += 1
+            commit &= ~((st.clock_s - st.last_switch_s) < p["sw_dwell_s"])
+            st.active_big = np.where(commit, tgt_big, st.active_big)
+            st.last_switch_s = np.where(commit, st.clock_s,
+                                        st.last_switch_s)
+            st.switch_events = st.switch_events + commit
+            st.sw_energy_spent_j = np.where(
+                commit, st.sw_energy_spent_j + p["sw_energy_j"],
+                st.sw_energy_spent_j)
+            st.sw_heat_pending_j = np.where(
+                commit, st.sw_heat_pending_j + p["sw_heat_j"],
+                st.sw_heat_pending_j)
 
         # Thermostat + TEC drive (harness level, in place).
         upd = run & p["uses_tec"]
         thr = p["thr_threshold_c"]
         rise = ~st.thermo_on & (t_cpu >= thr)
-        fall = st.thermo_on & (t_cpu < thr - p["thr_hysteresis_k"])
+        fall = st.thermo_on & (t_cpu < self._thr_off)
         new_on = np.where(rise, True, np.where(fall, False, st.thermo_on))
         st.thermo_on = np.where(upd, new_on, st.thermo_on)
         st.tec_on = np.where(upd, new_on, st.tec_on)
+        tec_any = np.count_nonzero(run & st.tec_on)
 
         # -- Phase B: pack.draw + thermal, functional candidates ------
-        total_w = base_w + np.where(st.tec_on, p["tec_drive_w"], 0.0)
+        total_w = base_w + (np.where(st.tec_on, p["tec_drive_w"], 0.0)
+                            if tec_any else 0.0)
+        demand_j = total_w * dt
 
-        # Pre-draw electrical observations, both cells.
-        ocv_b = K.ocv(soc_b, p["cutoff_b"], p["full_b"])
-        ocv_l = K.ocv(soc_l, p["cutoff_l"], p["full_l"])
-        r_b = K.internal_resistance(soc_b, st.cell_temp_c, p["r0_b"],
-                                    p["tc_b"])
-        r_l = K.internal_resistance(soc_l, st.cell_temp_c, p["r0_l"],
-                                    p["tc_l"])
-        veff_b = ocv_b - st.vtrans_b
-        veff_l = ocv_l - st.vtrans_l
-        maxp_b = K.max_power(veff_b, r_b, p["imax_b"])
-        maxp_l = K.max_power(veff_l, r_l, p["imax_l"])
+        # Pre-draw electrical observations, both cells at once.
+        ocv = K.ocv(soc, p["cutoff"], p["full"])
+        r_cell = K.internal_resistance(soc, st.cell_temp_c, p["r0"],
+                                       p["tc"])
+        veff = ocv - st.vtrans
+        maxp = K.max_power(veff, r_cell, p["imax"])
         # terminal_voltage(0.0) == ocv - 0.0*r - vt == veff bitwise.
-        cs_b = _can_serve(dep_b, maxp_b, veff_b, st.avail_b, total_w, dt)
-        cs_l = _can_serve(dep_l, maxp_l, veff_l, st.avail_l, total_w, dt)
-
-        act = st.active_big
-        cs_act = np.where(act, cs_b, cs_l)
-        cs_idl = np.where(act, cs_l, cs_b)
-        dep_act = np.where(act, dep_b, dep_l)
-        dep_idl = np.where(act, dep_l, dep_b)
+        cs = _can_serve(dep, maxp, veff, st.avail, total_w, dt)
 
         # Pre-draw failover (pack.draw step 1) -- candidates only; the
         # scalar fallback re-runs this for irregular rows.  The dwell
         # guard must see the post-Phase-A switch time: a select commit
         # this step resets the dwell clock.
-        want = run & dual & ~cs_act & (cs_idl | (dep_act & ~dep_idl))
-        dwell_ok2 = ~((st.clock_s - st.last_switch_s) < p["sw_dwell_s"])
-        fail_commit = want & dwell_ok2
-        active2 = st.active_big ^ fail_commit
-        last2 = np.where(fail_commit, st.clock_s, st.last_switch_s)
-        nev2 = st.switch_events + fail_commit
-        esp2 = np.where(fail_commit, st.sw_energy_spent_j + p["sw_energy_j"],
-                        st.sw_energy_spent_j)
-        hacc2 = np.where(fail_commit, st.sw_heat_pending_j + p["sw_heat_j"],
-                         st.sw_heat_pending_j)
+        # ``flat`` indexes the active cell's element of a (2, N) array
+        # (``arr.take(flat)``), ``idle`` the other cell's.
+        act = st.active_big
+        flat = np.where(act, rows, self._flat_little)
+        active2, last2, nev2 = act, st.last_switch_s, st.switch_events
+        esp2, heat = st.sw_energy_spent_j, st.sw_heat_pending_j
+        stuck = run_dual & ~cs.take(flat)
+        if np.count_nonzero(stuck):
+            self.branch_steps["predraw_failover"] += 1
+            idle = self._flat_sum - flat
+            fail_commit = (
+                stuck & (cs.take(idle) | (dep.take(flat) & ~dep.take(idle)))
+                & ~((st.clock_s - st.last_switch_s) < p["sw_dwell_s"]))
+            active2 = act ^ fail_commit
+            flat = np.where(active2, rows, self._flat_little)
+            last2 = np.where(fail_commit, st.clock_s, last2)
+            nev2 = nev2 + fail_commit
+            esp2 = np.where(fail_commit, esp2 + p["sw_energy_j"], esp2)
+            heat = np.where(fail_commit, heat + p["sw_heat_j"], heat)
 
-        heat = hacc2  # switch.take_heat_j()
-        unbilled = esp2 - st.sw_energy_pending_j  # switch.take_energy_j()
+        # switch.take_heat_j() is ``heat``; switch.take_energy_j():
+        unbilled = esp2 - st.sw_energy_pending_j
         overhead_w = unbilled / dt
         gross = total_w + overhead_w
 
         # Supercap filter on the LITTLE rail (single rows stay on BIG).
         sc_rows = run & ~active2 & p["has_sc"]
-        sc_batt, sc_capj, sc_heat, sc_v2 = K.supercap_smooth(
-            gross, dt, st.supercap_v, p["sc_cap_f"], p["sc_rated_v"],
-            p["sc_esr"], p["sc_refill_w"])
-        battery_power = np.where(sc_rows, sc_batt, gross)
-        cap_j = np.where(sc_rows, sc_capj, 0.0)
-        heat2 = np.where(sc_rows, heat + sc_heat, heat)
-        scv2 = np.where(sc_rows, sc_v2, st.supercap_v)
+        battery_power, cap_j, scv2 = gross, 0.0, st.supercap_v
+        if np.count_nonzero(sc_rows):
+            self.branch_steps["supercap"] += 1
+            sc_batt, sc_capj, sc_heat, sc_v2 = K.supercap_smooth(
+                gross, dt, st.supercap_v, p["sc_cap_f"], p["sc_rated_v"],
+                p["sc_esr"], p["sc_refill_w"])
+            battery_power = np.where(sc_rows, sc_batt, gross)
+            cap_j = np.where(sc_rows, sc_capj, 0.0)
+            heat = np.where(sc_rows, heat + sc_heat, heat)
+            scv2 = np.where(sc_rows, sc_v2, st.supercap_v)
 
-        # Active-cell draw (cell.draw_power), gathered by active2.
-        def A(b, l):
-            return np.where(active2, b, l)
-
-        veff_a = A(veff_b, veff_l)
-        r_a = A(r_b, r_l)
-        imax_a = A(p["imax_b"], p["imax_l"])
-        dep_pre = A(dep_b, dep_l)
-        avail_a = A(st.avail_b, st.avail_l)
-        bound_a = A(st.bound_b, st.bound_l)
+        # Active-cell draw (cell.draw_power): the active cell's twelve
+        # parameters in one gather, then its pre-step state.
+        (cap_a, imax_a, r0_a, tc_a, cutoff_a, full_a, c_a, k_a, coul_a,
+         rl_a, _, _) = self._cell_params.take(flat, axis=1)
+        veff_a = veff.take(flat)
+        r_a = r_cell.take(flat)
+        avail_a = st.avail.take(flat)
+        bound_a = st.bound.take(flat)
 
         bp = battery_power
         zero = bp == 0.0
+        dep_pre = avail_a <= 1e-9
         main = run & ~zero & ~dep_pre
 
         cur_raw = K.current_for_power(bp, veff_a, r_a)
         clamp = cur_raw > imax_a
         current = np.where(clamp, imax_a, cur_raw)
-        sf = clamp.copy()
         delivered_w = K.pymin(bp, K.pymax(0.0, current *
                                           (veff_a - current * r_a)))
-        sf |= delivered_w < bp * (1.0 - 1e-9)
-        i_sus = K.sustainable_current(bound_a, A(p["c_b"], p["c_l"]),
-                                      A(p["k_b"], p["k_l"]))
-        eta = A(p["coul_b"], p["coul_l"]) * (
-            1.0 - K.rate_loss(current, i_sus, A(p["rl_b"], p["rl_l"])))
+        i_sus = K.sustainable_current(bound_a, c_a, k_a)
+        eta = coul_a * (1.0 - K.rate_loss(current, i_sus, rl_a))
         drawn = current / eta
         cur_eff = np.where(main, current, 0.0)
         drawn_eff = np.where(main, drawn, 0.0)
         partial = main & (drawn * dt > avail_a)
 
-        # KiBaM wells, both cells (active draws, idle rests).
-        cur_b = np.where(active2, drawn_eff, 0.0)
-        cur_l = np.where(active2, 0.0, drawn_eff)
-        y1b, y2b = self._wells(st.avail_b, st.bound_b, cur_b, dt,
-                               p["c_b"], p["k_b"], run)
-        y1l, y2l = self._wells(st.avail_l, st.bound_l, cur_l, dt,
-                               p["c_l"], p["k_l"], run)
-
-        # RC transient branch, both cells.
-        tr_b = np.where(active2, cur_eff, 0.0)
-        tr_l = np.where(active2, 0.0, cur_eff)
-        alpha_b = np.exp(-dt / p["tau_b"])
-        alpha_l = np.exp(-dt / p["tau_l"])
-        vtb2 = K.step_transient(st.vtrans_b, tr_b, p["r1_b"], alpha_b)
-        vtl2 = K.step_transient(st.vtrans_l, tr_l, p["r1_l"], alpha_l)
+        # KiBaM wells and RC transient, both cells (active draws, idle
+        # rests).
+        cur = np.zeros((2, n))
+        cur.put(flat, drawn_eff)
+        y1, y2 = self._wells(st.avail, st.bound, cur, dt, p["c"], p["k"],
+                             run)
+        tr = np.zeros((2, n))
+        tr.put(flat, cur_eff)
+        alpha = np.exp(-dt / p["tau"])
+        vt2 = K.step_transient(st.vtrans, tr, p["r1"], alpha)
 
         # Post-step terminal voltage, heat and energy of the draw.
-        soc_a2 = K.state_of_charge(A(y1b, y1l), A(y2b, y2l),
-                                   A(p["cap_b"], p["cap_l"]))
-        ocv_a2 = K.ocv(soc_a2, A(p["cutoff_b"], p["cutoff_l"]),
-                       A(p["full_b"], p["full_l"]))
-        r_a2 = K.internal_resistance(soc_a2, st.cell_temp_c,
-                                     A(p["r0_b"], p["r0_l"]),
-                                     A(p["tc_b"], p["tc_l"]))
-        voltage = ocv_a2 - cur_eff * r_a2 - A(vtb2, vtl2)
-        sf |= voltage < A(p["cutoff_b"], p["cutoff_l"])
+        soc_a2 = K.state_of_charge(y1.take(flat), y2.take(flat), cap_a)
+        ocv_a2 = K.ocv(soc_a2, cutoff_a, full_a)
+        r_a2 = K.internal_resistance(soc_a2, st.cell_temp_c, r0_a, tc_a)
+        voltage = ocv_a2 - cur_eff * r_a2 - vt2.take(flat)
         ohmic = cur_eff * cur_eff * r_a2 * dt
         parasitic = (drawn_eff - cur_eff) * K.pymax(voltage, 0.0) * dt
         heat_cell = np.where(main, ohmic + parasitic, 0.0)
         energy_cell = np.where(main, delivered_w * dt, 0.0)
-        sf_cell = np.where(zero, False, np.where(dep_pre, True, sf))
-        heat3 = heat2 + heat_cell
+        heat3 = heat + heat_cell
 
         # Rail accounting (pack.draw step 5); a single pack delivers
         # the cell's energy as is.
@@ -359,90 +394,109 @@ class FleetSimulator:
         rail_j = load_share * dt * served_frac + cap_j
         delivered_j = np.where(
             single, energy_cell,
-            K.pymin(total_w * dt, K.pymax(0.0, rail_j - overhead_w * dt)))
-        deficit = total_w * dt - delivered_j
+            K.pymin(demand_j, K.pymax(0.0, rail_j - overhead_w * dt)))
+        deficit = demand_j - delivered_j
 
         # Mid-step deficit failover check against the *pre-step* idle
         # cell (scalar evaluates it before idle.rest runs).
-        maxp_idl = np.where(active2, maxp_l, maxp_b)
-        veff_idl = np.where(active2, veff_l, veff_b)
-        dep_idl2 = np.where(active2, dep_l, dep_b)
-        avail_idl = np.where(active2, st.avail_l, st.avail_b)
-        can_idle = _can_serve(dep_idl2, maxp_idl, veff_idl, avail_idl,
-                              deficit / dt, dt)
-        failover = run & dual & (deficit > 1e-9) & can_idle
-        irregular = partial | failover
-        reg = run & ~irregular
+        irregular = partial
+        short = run_dual & (deficit > 1e-9)
+        if np.count_nonzero(short):
+            self.branch_steps["deficit_failover"] += 1
+            idle = self._flat_sum - flat
+            avail_i = st.avail.take(idle)
+            can_idle = _can_serve(avail_i <= 1e-9, maxp.take(idle),
+                                  veff.take(idle), avail_i, deficit / dt, dt)
+            irregular = partial | (short & can_idle)
+        any_irregular = np.count_nonzero(irregular)
+        reg = run & ~irregular if any_irregular else run
 
         # -- Commit Phase B for regular rows --------------------------
-        def W(new, old):
-            return np.where(reg, new, old)
+        # Free when every row is running and regular.  No two state
+        # fields may share a buffer (_fallback_row writes rows in
+        # place), hence the one copy.
+        if all_run and not any_irregular:
+            def W(new, old):
+                return new
 
-        st.avail_b = W(y1b, st.avail_b)
-        st.bound_b = W(y2b, st.bound_b)
-        st.avail_l = W(y1l, st.avail_l)
-        st.bound_l = W(y2l, st.bound_l)
-        st.vtrans_b = W(vtb2, st.vtrans_b)
-        st.vtrans_l = W(vtl2, st.vtrans_l)
-        st.throughput_b = W(st.throughput_b + tr_b * dt, st.throughput_b)
-        st.throughput_l = W(st.throughput_l + tr_l * dt, st.throughput_l)
-        st.active_big = np.where(reg, active2, st.active_big)
+            st.sw_energy_pending_j = esp2.copy()
+        else:
+            def W(new, old):
+                return np.where(reg, new, old)
+
+            st.sw_energy_pending_j = W(esp2, st.sw_energy_pending_j)
+        st.avail = W(y1, st.avail)
+        st.bound = W(y2, st.bound)
+        st.vtrans = W(vt2, st.vtrans)
+        st.throughput = W(st.throughput + tr * dt, st.throughput)
+        st.active_big = W(active2, st.active_big)
         st.last_switch_s = W(last2, st.last_switch_s)
-        st.switch_events = np.where(reg, nev2, st.switch_events)
+        st.switch_events = W(nev2, st.switch_events)
         st.sw_energy_spent_j = W(esp2, st.sw_energy_spent_j)
-        st.sw_heat_pending_j = W(0.0, st.sw_heat_pending_j)
-        st.sw_energy_pending_j = W(esp2, st.sw_energy_pending_j)
+        st.sw_heat_pending_j = W(np.zeros(n), st.sw_heat_pending_j)
         st.supercap_v = W(scv2, st.supercap_v)
 
         # Thermal network (phone.step tail), regular rows only.
-        other_w = K.pymax(0.0, base_w - cpu_w)
-        eff = K.pymax(0.2, 1.0 - 0.02 * K.pymax(0.0, t_surf - t_cpu))
-        pumped = p["tec_pump_w"] * eff
-        headroom = K.pymax(0.0, K.pymin(1.0, (t_cpu - 25.0) / 5.0))
-        pumped = pumped * headroom
-        inj_cpu = np.where(st.tec_on, cpu_w + (-pumped), cpu_w)
-        inj_batt = heat3 / dt
-        surf0 = other_w * 0.6
-        inj_surf = np.where(st.tec_on, surf0 + (pumped + p["tec_drive_w"]),
-                            surf0)
-        tec_mask = reg & st.tec_on
-        st.tec_on_time_s = np.where(tec_mask, st.tec_on_time_s + dt,
-                                    st.tec_on_time_s)
-        st.tec_energy_j = np.where(
-            tec_mask, st.tec_energy_j + p["tec_drive_w"] * dt,
-            st.tec_energy_j)
-        self._thermal(reg, dt, [inj_cpu, inj_batt, inj_surf, 0.0])
+        inj_cpu, inj_surf = cpu_w, surf_w
+        if tec_any:
+            self.branch_steps["tec"] += 1
+            eff = K.pymax(0.2, 1.0 - 0.02 * K.pymax(0.0, t_surf - t_cpu))
+            pumped = p["tec_pump_w"] * eff
+            headroom = K.pymax(0.0, K.pymin(1.0, (t_cpu - 25.0) / 5.0))
+            pumped = pumped * headroom
+            inj_cpu = np.where(st.tec_on, cpu_w + (-pumped), cpu_w)
+            inj_surf = np.where(st.tec_on,
+                                surf_w + (pumped + p["tec_drive_w"]), surf_w)
+            tec_mask = reg & st.tec_on
+            st.tec_on_time_s = np.where(tec_mask, st.tec_on_time_s + dt,
+                                        st.tec_on_time_s)
+            st.tec_energy_j = np.where(
+                tec_mask, st.tec_energy_j + p["tec_drive_w"] * dt,
+                st.tec_energy_j)
+        self._thermal(np.where(reg, thermal_counts, 0), dt,
+                      [inj_cpu, heat3 / dt, inj_surf, 0.0])
         st.cell_temp_c = np.where(reg, st.node_temps[1], st.cell_temp_c)
-        st.clock_s = np.where(reg, st.clock_s + dt, st.clock_s)
+        st.clock_s = W(st.clock_s + dt, st.clock_s)
 
         # Harness accounting (the run_discharge_cycle locals).
         st.energy_j = W(st.energy_j + delivered_j, st.energy_j)
         # A single pack serves no rail (served_by is None).
-        reg_dual = reg & dual
-        st.big_time_s = np.where(reg_dual & active2, st.big_time_s + dt,
-                                 st.big_time_s)
-        st.little_time_s = np.where(reg_dual & ~active2,
-                                    st.little_time_s + dt, st.little_time_s)
+        reg_dual = reg & self._dual
+        on_big = reg_dual & active2
+        on_little = reg_dual ^ on_big
+        st.big_time_s = np.where(on_big, st.big_time_s + dt, st.big_time_s)
+        st.little_time_s = np.where(on_little, st.little_time_s + dt,
+                                    st.little_time_s)
         tc2 = st.node_temps[0]
         hotter = reg & (tc2 > st.max_temp_c)
         st.max_temp_c = np.where(hotter, tc2, st.max_temp_c)
         hot = reg & (tc2 >= thr)
-        st.hot_time_s = np.where(hot, st.hot_time_s + dt, st.hot_time_s)
+        if np.count_nonzero(hot):
+            self.branch_steps["hot"] += 1
+            st.hot_time_s = np.where(hot, st.hot_time_s + dt, st.hot_time_s)
 
-        dep_b_post = st.avail_b <= 1e-9
-        dep_l_post = st.avail_l <= 1e-9
-        died1 = reg & sf_cell & dep_b_post & dep_l_post
-        demanded = total_w * dt
-        brown = (reg & ~died1 & (demanded > 0.0) &
-                 (delivered_j < demanded * 0.98))
-        st.brownouts = st.brownouts + brown
-        died2 = brown & (st.brownouts >= p["brownout_limit"])
-        st.alive = st.alive & ~(died1 | died2)
+        # Deaths: both cells empty after a shortfall, or too many
+        # brownouts.
+        dep_post = st.avail <= 1e-9
+        died = reg & dep_post[0] & dep_post[1]
+        if np.count_nonzero(died):
+            self.branch_steps["empty"] += 1
+            sf = (clamp | (delivered_w < bp * (1.0 - 1e-9))
+                  | (voltage < cutoff_a))
+            died &= np.where(zero, False, np.where(dep_pre, True, sf))
+        brown = reg & (delivered_j < demand_j * 0.98)
+        if np.count_nonzero(brown):
+            self.branch_steps["brownout"] += 1
+            brown &= ~died & (demand_j > 0.0)
+            st.brownouts = st.brownouts + brown
+            died |= brown & (st.brownouts >= p["brownout_limit"])
+        if np.count_nonzero(died):
+            st.alive = st.alive & ~died
 
         # -- Exact scalar fallback for irregular rows -----------------
         voltage_final = voltage
         power_final = total_w
-        if irregular.any():
+        if any_irregular:
             voltage_final = voltage.copy()
             power_final = total_w.copy()
             for r in np.nonzero(irregular)[0]:
@@ -453,18 +507,30 @@ class FleetSimulator:
         st.steps_run = st.steps_run + run
         t_end = starts + dt
         st.service_time_s = np.where(run, t_end, st.service_time_s)
-        st.alive = st.alive & ~(run & ((j + 1) >= self.n_steps))
+        if j in self._last_steps:
+            st.alive = st.alive & ~(run & ((j + 1) >= self.n_steps))
 
-        rec = run & ((st.steps_run % p["record_every"]) == 0)
-        if rec.any():
-            sel = np.nonzero(rec)[0]
-            soc = np.where(
-                single, K.state_of_charge(st.avail_b, st.bound_b, p["cap_b"]),
-                ((st.avail_b + st.bound_b) + (st.avail_l + st.bound_l))
-                / p["cap_total"])
-            self._snapshots.append(
-                (sel, t_end[sel], soc[sel], st.node_temps[0][sel],
-                 power_final[sel], voltage_final[sel]))
+        rec = run
+        if not self._record_all:
+            rec = run & ((st.steps_run % p["record_every"]) == 0)
+            if not np.count_nonzero(rec):
+                return
+        charge = st.avail + st.bound
+        soc = (charge[BIG_SLOT] + charge[LITTLE_SLOT]) / p["cap_total"]
+        if self._any_single:
+            soc = np.where(single, K.state_of_charge(
+                st.avail[BIG_SLOT], st.bound[BIG_SLOT], p["cap"][BIG_SLOT]),
+                soc)
+        if rec is run and all_run:
+            # Every row records: the step's own arrays are the sample
+            # (none is written again), the node temperature is copied.
+            self._snapshots.append((rows, t_end, soc, st.node_temps[0].copy(),
+                                    power_final, voltage_final))
+            return
+        sel = np.nonzero(rec)[0]
+        self._snapshots.append(
+            (sel, t_end[sel], soc[sel], st.node_temps[0][sel],
+             power_final[sel], voltage_final[sel]))
 
     # ------------------------------------------------------------------
     # Physics helpers: one masked substep loop per kernel
@@ -476,13 +542,10 @@ class FleetSimulator:
         return K.step_wells(y1, y2, cur, dt / np.maximum(counts, 1),
                             counts, c, k)
 
-    def _thermal(self, mask, dt, injections) -> None:
+    def _thermal(self, counts, dt, injections) -> None:
         from ..thermal.conduction import euler_conduction
 
         st = self.state
-        counts = np.where(mask, np.minimum(
-            np.maximum(np.ceil(dt / self.thermal_sub), 1.0),
-            100_000.0).astype(np.int64), 0)
         st.node_temps = euler_conduction(
             st.node_temps, injections, self.links, self.actives, counts,
             dt / np.maximum(counts, 1))
@@ -504,11 +567,11 @@ class FleetSimulator:
         cells = slot_cells(pack)
 
         # Push: arrays -> objects (post-Phase-A state).
-        for tag, cell in cells:
-            cell._available = float(getattr(st, f"avail_{tag}")[r])
-            cell._bound = float(getattr(st, f"bound_{tag}")[r])
-            cell._v_transient = float(getattr(st, f"vtrans_{tag}")[r])
-            cell._throughput = float(getattr(st, f"throughput_{tag}")[r])
+        for slot, cell in cells:
+            cell._available = float(st.avail[slot, r])
+            cell._bound = float(st.bound[slot, r])
+            cell._v_transient = float(st.vtrans[slot, r])
+            cell._throughput = float(st.throughput[slot, r])
             cell.temperature_c = float(st.cell_temp_c[r])
         if not single:
             sw = pack.switch
@@ -534,11 +597,11 @@ class FleetSimulator:
         outcome = phone.step(demand, step_dt)
 
         # Pull: objects -> arrays.
-        for tag, cell in cells:
-            getattr(st, f"avail_{tag}")[r] = cell._available
-            getattr(st, f"bound_{tag}")[r] = cell._bound
-            getattr(st, f"vtrans_{tag}")[r] = cell._v_transient
-            getattr(st, f"throughput_{tag}")[r] = cell._throughput
+        for slot, cell in cells:
+            st.avail[slot, r] = cell._available
+            st.bound[slot, r] = cell._bound
+            st.vtrans[slot, r] = cell._v_transient
+            st.throughput[slot, r] = cell._throughput
         st.cell_temp_c[r] = cells[0][1].temperature_c
         if not single:
             st.active_big[r] = sw.active is _BIG

@@ -16,7 +16,8 @@ FleetSimulator` advances in lockstep:
   exact-fallback path);
 * heterogeneous **parameters** (chemistry constants, switch costs,
   supercap sizing, TEC drive, thermostat thresholds) are read off the
-  constructed objects into padded ``(N,)`` arrays.
+  constructed objects into padded ``(N,)`` arrays, and ``(2, N)``
+  arrays for the per-cell parameters (:data:`CELL_PARAMS`).
 
 A single-battery pack (the ``Practice`` baseline) loads its cell into
 the "big" slot; its "little" slot holds a zero-charge phantom that is
@@ -41,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..battery import kinetics as K
 from ..battery.cell import Cell
 from ..battery.pack import BigLittlePack, SingleBatteryPack
 from ..battery.supercap import Supercapacitor
@@ -54,13 +56,19 @@ from ..thermal.hotspot import HOT_SPOT_THRESHOLD_C
 from ..thermal.tec import TECUnit
 from ..workload.base import Segment
 from ..workload.traces import Trace
+from .state import BIG_SLOT, LITTLE_SLOT, FleetState
 
 __all__ = ["DeviceSpec", "FleetSpec", "UnsupportedDeviceError",
-           "unsupported_reason", "NODE_NAMES"]
+           "unsupported_reason", "NODE_NAMES", "CELL_PARAMS"]
 
 #: Canonical node order of the phone thermal network; the fleet's
 #: ``node_temps`` columns use these indices.
 NODE_NAMES = ("cpu", "battery", "surface", "ambient")
+
+#: Per-cell parameters, in the order of the ``(len, 2, N)`` block
+#: ``params["cell"]``; ``params[name]`` is that block's ``(2, N)`` row.
+CELL_PARAMS = ("cap", "imax", "r0", "tc", "cutoff", "full", "c", "k",
+               "coul", "rl", "r1", "tau")
 
 
 class UnsupportedDeviceError(ValueError):
@@ -186,15 +194,15 @@ def _check_pack(pack) -> Optional[str]:
     return None
 
 
-def slot_cells(pack) -> Tuple[Tuple[str, Cell], ...]:
-    """``(tag, cell)`` for each state-array slot a live pack fills.
+def slot_cells(pack) -> Tuple[Tuple[int, Cell], ...]:
+    """``(slot, cell)`` for each per-cell state row a live pack fills.
 
-    A single-battery pack fills only the "big" slot; its "little" slot
+    A single-battery pack fills only :data:`BIG_SLOT`; its LITTLE slot
     is the zero-charge phantom, which has no object twin.
     """
     if type(pack) is SingleBatteryPack:
-        return (("b", pack.cell),)
-    return (("b", pack.big), ("l", pack.little))
+        return ((BIG_SLOT, pack.cell),)
+    return ((BIG_SLOT, pack.big), (LITTLE_SLOT, pack.little))
 
 
 def unsupported_reason(policy: SchedulingPolicy) -> Optional[str]:
@@ -242,6 +250,9 @@ class FleetSpec:
         topology = None
 
         params: Dict[str, np.ndarray] = {}
+        cell_params = params["cell"] = np.zeros((len(CELL_PARAMS), 2, n))
+        for q, name in enumerate(CELL_PARAMS):
+            params[name] = cell_params[q]
 
         def farr(name):
             arr = params.get(name)
@@ -297,23 +308,17 @@ class FleetSpec:
             if single:
                 # The phantom LITTLE cell: the real cell's chemistry at
                 # zero charge, so it is depleted from the first step on.
-                slots += (("l", Cell(pack.cell.chemistry,
-                                     pack.cell.capacity_mah, soc=0.0)),)
-            for tag, cell in slots:
+                slots += ((LITTLE_SLOT, Cell(pack.cell.chemistry,
+                                             pack.cell.capacity_mah,
+                                             soc=0.0)),)
+            for slot, cell in slots:
                 chem = cell.chemistry
-                r1, tau = chem.effective_transient()
-                farr(f"cap_{tag}")[i] = cell.capacity_amp_s
-                farr(f"imax_{tag}")[i] = cell.max_current
-                farr(f"r0_{tag}")[i] = chem.internal_resistance
-                farr(f"tc_{tag}")[i] = chem.resistance_temp_coeff
-                farr(f"cutoff_{tag}")[i] = chem.cutoff_voltage
-                farr(f"full_{tag}")[i] = chem.full_voltage
-                farr(f"c_{tag}")[i] = chem.kibam_c
-                farr(f"k_{tag}")[i] = chem.kibam_k
-                farr(f"coul_{tag}")[i] = chem.coulombic_efficiency
-                farr(f"rl_{tag}")[i] = chem.rate_loss_coeff
-                farr(f"r1_{tag}")[i] = r1
-                farr(f"tau_{tag}")[i] = tau
+                cell_params[:, slot, i] = (
+                    cell.capacity_amp_s, cell.max_current,
+                    chem.internal_resistance, chem.resistance_temp_coeff,
+                    chem.cutoff_voltage, chem.full_voltage, chem.kibam_c,
+                    chem.kibam_k, chem.coulombic_efficiency,
+                    chem.rate_loss_coeff) + chem.effective_transient()
 
             sw = None if single else pack.switch
             farr("sw_energy_j")[i] = sw.switch_energy_j if sw else 0.0
@@ -341,51 +346,52 @@ class FleetSpec:
             brw = params.setdefault("brownout_limit", np.zeros(n, np.int64))
             brw[i] = dev.brownout_limit
 
-        params["cap_total"] = np.where(params["single"], params["cap_b"],
-                                       params["cap_b"] + params["cap_l"])
+        cap = params["cap"]
+        params["cap_total"] = np.where(params["single"], cap[BIG_SLOT],
+                                       cap[BIG_SLOT] + cap[LITTLE_SLOT])
 
-        # Demand-power tables, (N, max_segs): a row depends only on the
+        # Demand-power tables, (3, N, max_segs): base power, CPU power
+        # and the surface share of the rest (the thermal injection
+        # ``max(0.0, base - cpu) * 0.6``).  A row depends only on the
         # profile and the schedule, so each distinct pair is computed
         # once through the real Phone._demand_powers and then copied.
         max_segs = max(len(s.segments) for s in schedules)
-        base_tbl = np.zeros((n, max_segs), dtype=np.float64)
-        cpu_tbl = np.zeros((n, max_segs), dtype=np.float64)
+        demand_tbl = np.zeros((3, n, max_segs), dtype=np.float64)
+        base_tbl, cpu_tbl, surf_tbl = demand_tbl
         first_row: Dict[Tuple[int, int], int] = {}
         for i, (dev, phone, sched) in enumerate(zip(self.devices, phones,
                                                      schedules)):
             first = first_row.setdefault((id(dev.profile), id(sched)), i)
             if first != i:
-                base_tbl[i] = base_tbl[first]
-                cpu_tbl[i] = cpu_tbl[first]
+                demand_tbl[:, i] = demand_tbl[:, first]
                 continue
             for si, seg in enumerate(sched.segments):
                 base_tbl[i, si], cpu_tbl[i, si] = phone._demand_powers(
                     seg.demand)
+        surf_tbl[:] = K.pymax(0.0, base_tbl - cpu_tbl) * 0.6
 
         n_steps = np.asarray([s.n_steps for s in schedules], dtype=np.int64)
 
         return FleetSimulator(
             spec=self, phones=phones, policies=policies,
             schedules=schedules, params=params,
-            base_tbl=base_tbl, cpu_tbl=cpu_tbl, n_steps=n_steps,
+            demand_tbl=demand_tbl, n_steps=n_steps,
             topology=topology,
         )
 
 
 def initial_state_from_phones(phones: Sequence[Phone]):
     """Seed a :class:`~repro.fleet.state.FleetState` from live phones."""
-    from .state import FleetState
-
     n = len(phones)
     st = FleetState(n)
     for i, phone in enumerate(phones):
         pack = phone.pack
         cells = slot_cells(pack)
-        for tag, cell in cells:
-            getattr(st, f"avail_{tag}")[i] = cell._available
-            getattr(st, f"bound_{tag}")[i] = cell._bound
-            getattr(st, f"vtrans_{tag}")[i] = cell._v_transient
-            getattr(st, f"throughput_{tag}")[i] = cell._throughput
+        for slot, cell in cells:
+            st.avail[slot, i] = cell._available
+            st.bound[slot, i] = cell._bound
+            st.vtrans[slot, i] = cell._v_transient
+            st.throughput[slot, i] = cell._throughput
         st.cell_temp_c[i] = cells[0][1].temperature_c
         if type(pack) is SingleBatteryPack:
             # The scalar harness reports a single pack as active BIG.

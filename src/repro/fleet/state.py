@@ -1,15 +1,15 @@
 """Struct-of-arrays state for a batch of simulated phones.
 
 One :class:`FleetState` holds every mutable quantity of ``N`` devices
-as ``(N,)`` NumPy arrays -- the device axis is the array axis.  The
-layout mirrors the scalar object graph field for field:
+as NumPy arrays -- the device axis is the last array axis.  The layout
+mirrors the scalar object graph field for field:
 
 ========================  ============================================
 Array group               Scalar twin
 ========================  ============================================
-``avail_*/bound_*``       :class:`repro.battery.cell.Cell` KiBaM wells
-``vtrans_*``              the cell's RC transient branch voltage
-``throughput_*``          the cell's cumulative throughput counter
+``avail/bound``           :class:`repro.battery.cell.Cell` KiBaM wells
+``vtrans``                the cell's RC transient branch voltage
+``throughput``            the cell's cumulative throughput counter
 ``cell_temp_c``           ``Cell.temperature_c`` (shared by both cells)
 ``active_big`` et al.     :class:`repro.battery.switch.BatterySwitch`
 ``supercap_v``            :class:`repro.battery.supercap.Supercapacitor`
@@ -20,9 +20,17 @@ Array group               Scalar twin
 accounting arrays         the local variables of ``run_discharge_cycle``
 ========================  ============================================
 
-Suffix ``_b`` is the BIG cell, ``_l`` the LITTLE cell.  All floats are
-float64 so every element carries exactly the bits the scalar Python
-float would.
+The four per-cell groups are ``(2, N)`` arrays: row :data:`BIG_SLOT`
+is the BIG cell, row :data:`LITTLE_SLOT` the LITTLE cell, so one
+kernel call advances both cells and the active cell's values are one
+gather ``arr[slot, rows]``.  ``avail_b``, ``bound_l`` and the other
+``<group>_<b|l>`` names are read-only views of one row.  Every other
+field is ``(N,)``.  All floats are float64 so every element carries
+exactly the bits the scalar Python float would.
+
+No two fields may share a buffer: the simulator's exact fallback
+writes single rows in place, and a write through one field must never
+show through another.
 """
 
 from __future__ import annotations
@@ -32,11 +40,16 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["FleetState"]
+__all__ = ["FleetState", "BIG_SLOT", "LITTLE_SLOT"]
+
+#: Row of a ``(2, N)`` per-cell array holding the BIG cell.
+BIG_SLOT = 0
+#: Row of a ``(2, N)`` per-cell array holding the LITTLE cell.
+LITTLE_SLOT = 1
 
 
-def _f(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.float64)
+def _f(*shape: int) -> np.ndarray:
+    return np.zeros(shape, dtype=np.float64)
 
 
 def _b(n: int) -> np.ndarray:
@@ -47,21 +60,25 @@ def _i(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.int64)
 
 
+def _cell_view(group: str, slot: int) -> property:
+    def get(self) -> np.ndarray:
+        view = getattr(self, group)[slot]
+        view.flags.writeable = False
+        return view
+    return property(get, doc=f"Read-only view of ``{group}[{slot}]``.")
+
+
 @dataclass
 class FleetState:
-    """All mutable per-device state, one NumPy axis = one device."""
+    """All mutable per-device state, last NumPy axis = one device."""
 
     n: int
 
-    # --- KiBaM cells (big / little) -----------------------------------
-    avail_b: np.ndarray = None
-    bound_b: np.ndarray = None
-    vtrans_b: np.ndarray = None
-    throughput_b: np.ndarray = None
-    avail_l: np.ndarray = None
-    bound_l: np.ndarray = None
-    vtrans_l: np.ndarray = None
-    throughput_l: np.ndarray = None
+    # --- KiBaM cells, (2, N): BIG row then LITTLE row -------------------
+    avail: np.ndarray = None
+    bound: np.ndarray = None
+    vtrans: np.ndarray = None
+    throughput: np.ndarray = None
     #: Battery-bay temperature propagated to both cells (degC).
     cell_temp_c: np.ndarray = None
 
@@ -100,11 +117,21 @@ class FleetState:
     steps_run: np.ndarray = None
     service_time_s: np.ndarray = None
 
+    avail_b = _cell_view("avail", BIG_SLOT)
+    avail_l = _cell_view("avail", LITTLE_SLOT)
+    bound_b = _cell_view("bound", BIG_SLOT)
+    bound_l = _cell_view("bound", LITTLE_SLOT)
+    vtrans_b = _cell_view("vtrans", BIG_SLOT)
+    vtrans_l = _cell_view("vtrans", LITTLE_SLOT)
+    throughput_b = _cell_view("throughput", BIG_SLOT)
+    throughput_l = _cell_view("throughput", LITTLE_SLOT)
+
     def __post_init__(self) -> None:
         n = self.n
+        for name in ("avail", "bound", "vtrans", "throughput"):
+            if getattr(self, name) is None:
+                setattr(self, name, _f(2, n))
         for name in (
-            "avail_b", "bound_b", "vtrans_b", "throughput_b",
-            "avail_l", "bound_l", "vtrans_l", "throughput_l",
             "cell_temp_c", "last_switch_s", "sw_energy_spent_j",
             "sw_heat_pending_j", "sw_energy_pending_j", "supercap_v",
             "tec_on_time_s", "tec_energy_j", "clock_s", "energy_j",

@@ -226,6 +226,7 @@ def test_counters_surface_in_obs_registry():
     assert values["fleet.rows_adapted"] == 0
     assert values["fleet.trajectory_dedupe_hits"] == 1
     assert values["fleet.table_compiles"] == sim.table_compiles >= 1
+    assert values["fleet.solve_fallbacks"] == sim.solve_fallbacks == 0
     assert values["fleet.fallback_steps"] == sim.fallback_steps
     for mine in results[:2]:
         assert _frozen(mine) == _solo_frozen("eager")

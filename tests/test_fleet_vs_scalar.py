@@ -17,8 +17,10 @@ import pickle
 import pytest
 
 from repro.battery.cell import Cell
-from repro.battery.chemistry import LCO
-from repro.battery.pack import SingleBatteryPack
+from repro.battery.chemistry import LCO, pick_big_little
+from repro.battery.pack import BigLittlePack, SingleBatteryPack
+from repro.battery.supercap import Supercapacitor
+from repro.battery.switch import BatterySwitch
 from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, LENOVO, NEXUS
@@ -198,6 +200,61 @@ def test_depletion_stress_exercises_fallback_rows():
     assert sim.fallback_steps > 0
     for profile, mine in zip(PROFILES, results):
         assert _frozen(mine) == _frozen(_scalar("dual", profile))
+
+
+# ----------------------------------------------------------------------
+# Mask-guarded branches
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class _NearEmptyLittleDual(DualPolicy):
+    """Dual over a 100 mAh LITTLE cell at 6% charge.
+
+    Dual keeps selecting LITTLE while its SoC is above 2%, the cell
+    often cannot serve the step, so the pack fails over to BIG and the
+    next step selects LITTLE again: frequent switches, pre-draw
+    failovers and, as the cell runs dry, partial-dt draws.
+    """
+
+    name: str = "NearEmptyLittleDual"
+
+    def build_pack(self):
+        big, little = pick_big_little()
+        return BigLittlePack(big=Cell(big, self.capacity_mah),
+                             little=Cell(little, 100.0, soc=0.06),
+                             switch=BatterySwitch(),
+                             supercap=Supercapacitor())
+
+
+def test_guarded_branches_match_scalar_taken_and_skipped():
+    """Each branch the step skips on an empty mask runs on some steps
+    and is skipped on others, and every row still equals its scalar
+    run: a 43 degC CAPMAN row turns the TEC on, the near-empty LITTLE
+    row switches and fails over, the 40 mAh Dual row takes deficit
+    failovers and partial-dt replays, and a 5 mAh Dual row browns out
+    three times and dies."""
+    cases = [
+        (lambda: CapmanPolicy(capacity_mah=400.0), NEXUS, 43.0),
+        (lambda: _NearEmptyLittleDual(capacity_mah=400.0), NEXUS, 25.0),
+        (lambda: DualPolicy(capacity_mah=CAPACITY_MAH), HONOR, 25.0),
+        (lambda: DualPolicy(capacity_mah=5.0), NEXUS, 25.0),
+    ]
+    sim = FleetSpec([
+        DeviceSpec(policy=make(), trace=_TRACE, profile=profile,
+                   control_dt=CONTROL_DT, max_duration_s=MAX_DURATION_S,
+                   ambient_c=ambient)
+        for make, profile, ambient in cases]).build()
+    results = sim.run()
+    for branch in ("select", "predraw_failover", "deficit_failover", "tec",
+                   "brownout"):
+        assert 0 < sim.branch_steps[branch] < sim.max_steps, branch
+    assert sim.fallback_steps > 0
+    assert results[1].switch_count > 50
+    assert results[3].step_count == 3
+    for (make, profile, ambient), mine in zip(cases, results):
+        oracle = run_discharge_cycle(
+            make(), _TRACE, profile=profile, control_dt=CONTROL_DT,
+            max_duration_s=MAX_DURATION_S, ambient_c=ambient)
+        assert _frozen(mine) == _frozen(oracle), mine.policy_name
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Tests for value iteration / policy iteration / policy evaluation."""
+"""Tests for value iteration, the certified policy, policy iteration
+and policy evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mdp import MDP, random_mdp
-from repro.core.solver import value_iteration
+from repro.core.solver import (CERTIFY_MAX_STATES, optimal_policy,
+                               value_iteration)
 
+from decision_mdps import decision_mdps
 from solver_oracle import policy_evaluation, policy_iteration
 
 
@@ -106,3 +111,66 @@ class TestPolicyIteration:
     def test_converges_in_few_iterations(self):
         pi = policy_iteration(random_mdp(8, 2, seed=17), rho=0.9)
         assert pi.iterations < 20
+
+
+def _certified_equals_value_iteration(mdp, rho, **kwargs) -> bool:
+    """optimal_policy returns value iteration's policy; was it certified?"""
+    policy, certified = optimal_policy(mdp, rho, **kwargs)
+    want = value_iteration(mdp, rho, **kwargs).policy
+    assert policy == want
+    assert list(policy) == list(want)
+    return certified
+
+
+class TestOptimalPolicy:
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])
+    def test_profiler_decision_mdps(self, rho):
+        """Every MDP a CAPMAN cell builds on the benchmark's trace
+        kinds: same policy, and the certificate takes each one."""
+        certified = [_certified_equals_value_iteration(mdp, rho)
+                     for _, _, mdp in decision_mdps()]
+        assert certified and all(certified)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_states=st.integers(1, CERTIFY_MAX_STATES + 2),
+           n_actions=st.integers(1, 3), branching=st.integers(1, 4),
+           absorbing=st.integers(0, 2), seed=st.integers(0, 10_000),
+           rho=st.sampled_from([0.0, 0.3, 0.6, 0.9, 0.99]))
+    def test_random_mdps(self, n_states, n_actions, branching, absorbing,
+                         seed, rho):
+        mdp = random_mdp(n_states, n_actions, branching=branching,
+                         seed=seed, absorbing=min(absorbing, n_states - 1))
+        _certified_equals_value_iteration(mdp, rho)
+
+    def test_exact_tie_takes_value_iteration(self):
+        """Two actions with equal Q everywhere: no margin proves an
+        argmax, so value iteration answers (first action wins)."""
+        mdp = MDP(
+            states=["s"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"s": 1.0}, ("s", "b"): {"s": 1.0}},
+            rewards={("s", "a", "s"): 0.5, ("s", "b", "s"): 0.5},
+        )
+        assert not _certified_equals_value_iteration(mdp, 0.9)
+        assert optimal_policy(mdp, 0.9)[0] == {"s": "a"}
+
+    def test_unfinishable_sweep_budget_takes_value_iteration(self):
+        """At rho 0.99 value iteration needs ~2,000 sweeps to get below
+        tol; with 50 it stops on max_iter, which the certificate's
+        margin does not cover."""
+        capped = value_iteration(_choice_mdp(), 0.99, max_iter=50)
+        assert capped.iterations == 50 and capped.residual >= 1e-8
+        assert not _certified_equals_value_iteration(
+            _choice_mdp(), 0.99, max_iter=50)
+        assert _certified_equals_value_iteration(_choice_mdp(), 0.99)
+
+    def test_large_mdp_takes_value_iteration(self):
+        mdp = random_mdp(CERTIFY_MAX_STATES + 1, 2, seed=3)
+        assert not _certified_equals_value_iteration(mdp, 0.9)
+
+    def test_absorbing_only_successors_certified(self):
+        assert _certified_equals_value_iteration(_chain_mdp(), 0.5)
+
+    def test_rejects_bad_rho(self):
+        with pytest.raises(ValueError):
+            optimal_policy(_choice_mdp(), rho=1.0)
