@@ -5,15 +5,12 @@ paper: it runs the experiment (timed by pytest-benchmark), prints the
 same rows/series the paper reports, and asserts the qualitative
 *shape* (orderings, crossovers) -- not absolute hardware numbers.
 
-The evaluation grids all run through the scenario-sweep engine
-(:mod:`repro.sim.sweep`).  Two environment knobs control it:
-
-* ``CAPMAN_SWEEP_WORKERS`` -- process fan-out for the cells the
-  in-process fleet batch does not take (default 1 = serial; 0 = one
-  per CPU; negative raises ``ValueError``);
-* ``CAPMAN_SWEEP_CACHE`` -- directory for the on-disk result cache
-  (default unset = no caching; re-runs with a cache directory only
-  recompute cells whose configuration or code changed).
+The evaluation grids all run in this process through the
+scenario-sweep engine (:mod:`repro.sim.sweep`).  ``CAPMAN_SWEEP_CACHE``
+names a directory for its on-disk result cache (default unset = no
+caching; re-runs with a cache directory only recompute cells whose
+configuration or code changed); :func:`sweep_runner` documents the
+journal knobs.
 
 Run with::
 
@@ -88,14 +85,13 @@ def sweep_runner(journal=None, checkpoint_every_steps=None) -> ScenarioRunner:
     through :meth:`ScenarioRunner.run_or_resume` so a re-invoked job
     picks up its own journal instead of refusing it.
     """
-    workers = int(os.environ.get("CAPMAN_SWEEP_WORKERS", "1"))
     cache_dir = os.environ.get("CAPMAN_SWEEP_CACHE") or None
     if journal is None:
         journal = os.environ.get("CAPMAN_SWEEP_JOURNAL") or None
     if checkpoint_every_steps is None:
         checkpoint_every_steps = int(
             os.environ.get("CAPMAN_SWEEP_CKPT_STEPS", "0"))
-    return ScenarioRunner(workers=workers, cache=cache_dir, journal=journal,
+    return ScenarioRunner(cache=cache_dir, journal=journal,
                           checkpoint_every_steps=checkpoint_every_steps)
 
 

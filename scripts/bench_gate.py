@@ -128,7 +128,7 @@ def extract_gated(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Only this subset lands in the baseline file, so the committed
     baseline never churns on machine-dependent noise (wall times,
-    cpu_count, parallel speedups).  Each section is optional; at least
+    cpu_count).  Each section is optional; at least
     one must be present.
     """
     gated: Dict[str, Any] = {}

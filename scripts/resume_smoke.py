@@ -80,7 +80,7 @@ def _cell_bytes(result):
 
 
 def child_main(journal_path: str) -> None:
-    ScenarioRunner(workers=1, journal=journal_path,
+    ScenarioRunner(journal=journal_path,
                    checkpoint_every_steps=25).run(build_spec())
 
 
@@ -89,7 +89,7 @@ def main() -> int:
     target_commits = max(1, total // 2)
 
     print(f"[resume-smoke] reference run ({total} cells)...")
-    reference = ScenarioRunner(workers=1).run(build_spec())
+    reference = ScenarioRunner().run(build_spec())
 
     journal = Path(tempfile.mkdtemp(prefix="resume-smoke-")) / "sweep.journal"
     print(f"[resume-smoke] journalled child -> {journal}")
@@ -116,7 +116,7 @@ def main() -> int:
         print("[resume-smoke] FAIL: kill did not land mid-sweep")
         return 1
 
-    resumed = ScenarioRunner(workers=1, journal=journal).resume()
+    resumed = ScenarioRunner(journal=journal).resume()
     ok = True
     if resumed.stats.cells_resumed != committed:
         print(f"[resume-smoke] FAIL: resumed {resumed.stats.cells_resumed} "

@@ -200,7 +200,7 @@ def main() -> int:
         second.kill()
         second.wait(timeout=30)
 
-    direct = ScenarioRunner(workers=1).run(parse_spec(GRID))
+    direct = ScenarioRunner().run(parse_spec(GRID))
     if served != [pickle.dumps(r, protocol=4) for r in direct.results]:
         print("[service-smoke] FAIL: HTTP-served results are not "
               "byte-identical to the direct in-process run")

@@ -5,12 +5,9 @@ from .actuator import CapmanActuator
 from .baselines import DualPolicy, HeuristicPolicy, OraclePolicy, PracticePolicy
 from .calibration import CalibrationPoint, RuntimeCalibrator
 from .controller import CapmanPolicy
-from .framework import Capman, CapmanTick
 from .profiler import BatteryCostModel, PowerProfiler, device_key_cache_info, device_key_of
 
 __all__ = [
-    "Capman",
-    "CapmanTick",
     "CapmanActuator",
     "DualPolicy",
     "HeuristicPolicy",

@@ -17,9 +17,8 @@ fails.  This module adds the defensive layer a deployment needs:
   :class:`~repro.faults.events.FaultEvent` / ``RecoveryEvent``;
 * :class:`SupervisedPolicy` -- wraps any
   :class:`~repro.sim.discharge.SchedulingPolicy` with a fault schedule
-  plus supervision, so the whole stack (sweep engine, chaos grids, the
-  live :class:`~repro.capman.framework.Capman` facade) runs faulty
-  scenarios through the unchanged harness.
+  plus supervision, so the whole stack (sweep engine, chaos grids)
+  runs faulty scenarios through the unchanged harness.
 
 Mode state machine (see DESIGN.md section 8)::
 

@@ -10,14 +10,13 @@ kinds cover the stack's needs:
 * :class:`Histogram` -- fixed-bucket-layout distributions (per-step
   wall time, decision latency, checkpoint fsync latency).
 
-Merge semantics (cross-worker aggregation)
-------------------------------------------
-Sweep workers each populate a private registry and ship the resulting
-:class:`~repro.obs.telemetry.RunTelemetry` back over the existing
-result channel; the parent folds them together with :meth:`merge`.
-The merge is **associative and commutative** so the fold order (and
-hence the worker count / completion order) cannot change the
-aggregate:
+Merge semantics (cross-run aggregation)
+---------------------------------------
+Each scope populates a private registry, frozen into a
+:class:`~repro.obs.telemetry.RunTelemetry`; a sweep folds the blobs of
+the cells it resumed from a journal into its own with :meth:`merge`.
+The merge is **associative and commutative** so the fold order cannot
+change the aggregate:
 
 * counters add,
 * gauges take the maximum (a cross-run gauge aggregate is its
@@ -243,7 +242,7 @@ class MetricsRegistry:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     # ------------------------------------------------------------------
-    # Merge (cross-worker / scope-exit aggregation)
+    # Merge (cross-run / scope-exit aggregation)
     # ------------------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` into this registry (see module docstring)."""

@@ -3,9 +3,9 @@
 A :class:`RunTelemetry` freezes a scope's registry contents (plain
 dicts, JSON-ready) plus the span aggregates of the same window.  It is
 what a discharge cycle attaches to its
-:class:`~repro.sim.discharge.DischargeResult`, what sweep workers ship
-back over the existing result channel, and what the parent folds into
-one sweep-level blob with :meth:`merge` -- the same associative,
+:class:`~repro.sim.discharge.DischargeResult`, what a journal replays
+with a resumed cell's result, and what the sweep folds into one
+sweep-level blob with :meth:`merge` -- the same associative,
 commutative semantics as
 :meth:`repro.obs.registry.MetricsRegistry.merge`.
 

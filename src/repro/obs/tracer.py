@@ -172,8 +172,7 @@ class Tracer:
 
         Paths are reported relative to the stack depth at mark time, so
         a cycle's telemetry reads ``discharge/similarity.solve``
-        whether the cycle ran under a sweep/cell span (serial) or as a
-        worker-process root (parallel fan-out).
+        whether the cycle ran under a sweep/cell span or as a root.
         """
         index, depth = mark
         out: Dict[str, Dict[str, float]] = {}

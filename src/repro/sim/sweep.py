@@ -1,4 +1,4 @@
-"""Parallel scenario-sweep engine for the evaluation grids.
+"""Scenario-sweep engine for the evaluation grids.
 
 The paper's whole evaluation surface -- Figures 12-15, the daily-wear
 extension and the headline numbers -- is a grid of scenarios: policies
@@ -10,19 +10,16 @@ that implicit pattern into an explicit engine:
   :class:`ScenarioCell` rows in a deterministic order;
 * :class:`ScenarioRunner` executes the cells -- a big enough batch of
   fleet-supported cells as rows of one in-process vectorised fleet
-  simulation, the rest serially or fanned out over a
-  ``ProcessPoolExecutor`` -- with results returned in spec order and
-  identical on every path;
+  simulation, the rest serially on the scalar engine -- with results
+  returned in spec order and identical on either path;
 * an optional on-disk cache keyed by a content hash of the scenario
   configuration plus a code-version salt lets a re-run recompute only
   the cells whose inputs actually changed;
 * :class:`SimStats` reports throughput (control steps/s), per-phase
   wall times and cache hit/miss counts next to the results;
 * failures are contained per cell: a raising cell comes back as a
-  :class:`CellFailure` carrying the traceback, and a killed worker
-  (``BrokenProcessPool``) triggers one retry in an isolated
-  single-cell pool -- the rest of the grid always completes, and
-  failed cells are never cached;
+  :class:`CellFailure` carrying the traceback -- the rest of the grid
+  always completes, and failed cells are never cached;
 * an optional write-ahead run journal
   (:class:`~repro.durability.journal.RunJournal`) makes the sweep
   itself crash-durable: every cell start and every committed result is
@@ -32,7 +29,7 @@ that implicit pattern into an explicit engine:
 
 Every scenario cell is pure: it builds its own policy copy, pack and
 phone, so cells never share mutable state.  That is what makes the
-fan-out safe and the cache sound.
+cache sound.
 """
 
 from __future__ import annotations
@@ -120,7 +117,7 @@ class SweepSpec:
     The cross product ``policies x traces x profiles x control_dts x
     ambients_c`` is expanded in that key order (insertion order of the
     mappings, then sequence order), which fixes the cell indices and
-    thereby the result ordering for any worker count.
+    thereby the result ordering on every execution path.
 
     Parameters
     ----------
@@ -391,8 +388,6 @@ class SimStats:
     cells_computed: int = 0
     #: Cells whose slot holds a :class:`CellFailure`.
     cells_failed: int = 0
-    #: Extra execution attempts spent on retries (worker deaths).
-    cell_retries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     #: Committed cells restored from the run journal (never recomputed).
@@ -409,13 +404,12 @@ class SimStats:
     steps_total: int = 0
     #: Wall time spent expanding the spec / hashing keys (s).
     expand_wall_s: float = 0.0
-    #: Wall time spent running scenario cells (sum over workers, s).
+    #: Wall time spent running scenario cells (s).
     compute_wall_s: float = 0.0
     #: Wall time spent on cache reads/writes (s).
     cache_wall_s: float = 0.0
     #: End-to-end wall time of ``ScenarioRunner.run`` (s).
     total_wall_s: float = 0.0
-    workers: int = 1
     #: Executor backend that ran the pending cells ("local", or a
     #: custom executor's name; "none" when no executor ran because every
     #: cell came from cache, the journal or a fleet batch).
@@ -423,7 +417,7 @@ class SimStats:
 
     @property
     def steps_per_sec(self) -> float:
-        """Simulated control steps per compute-second (serial-equivalent)."""
+        """Simulated control steps per compute-second."""
         if self.compute_wall_s <= 0:
             return 0.0
         return self.steps_total / self.compute_wall_s
@@ -489,8 +483,8 @@ class SweepResult:
     """Ordered results of a sweep plus run statistics.
 
     A result slot holds the cell's :data:`CellResult` -- or a
-    :class:`CellFailure` when the cell raised, timed out or its worker
-    died; ``failures``/``succeeded`` split the two.
+    :class:`CellFailure` when the cell raised; ``failures``/``succeeded``
+    split the two.
     """
 
     cells: List[ScenarioCell]
@@ -498,8 +492,8 @@ class SweepResult:
     stats: SimStats
     #: Merged observability blob of the whole sweep (None unless obs
     #: is enabled): the runner's own counters plus the fold of every
-    #: computed cell's telemetry, identical totals for any worker
-    #: count.  Out-of-band of the results -- excluded from equality.
+    #: computed and resumed cell's telemetry.  Out-of-band of the
+    #: results -- excluded from equality.
     telemetry: Optional[obs.RunTelemetry] = field(
         default=None, repr=False, compare=False)
     #: Protocol-4 pickles the runner already made for its journal or
@@ -624,16 +618,15 @@ def _run_fleet_batch(
 
 
 class ScenarioRunner:
-    """Executes a :class:`SweepSpec` with optional fan-out and caching.
+    """Executes a :class:`SweepSpec` with optional caching.
 
     Parameters
     ----------
     workers:
-        Process fan-out for the cells the fleet batch does not take;
-        ``None`` or 1 runs them serially in-process, ``0`` means
-        ``os.cpu_count()``, and a negative count raises
-        ``ValueError``.  Results are returned in spec order and are
-        identical for every worker count.
+        Only ``None`` or 1 is accepted; any other value raises
+        ``ValueError``.  Every sweep runs in this process.  The
+        parameter stays only because the repository benchmark under
+        ``benchmarks/perf/`` still passes ``workers=1``.
     cache:
         A :class:`SweepCache`, a directory path for one, or ``None``
         to disable caching.  Failed cells are never cached.
@@ -655,14 +648,12 @@ class ScenarioRunner:
         boundaries regardless of cadence.
     executor:
         A :class:`~repro.sim.executors.LocalProcessExecutor` (or a
-        subclass) to run the pending cells, or ``None`` for one built
-        from ``workers``.  An explicit executor turns the fleet batch
-        off: every pending cell goes to it, which is how tests force
-        the scalar oracle.
+        subclass) to run the pending cells, or ``None`` for a fresh
+        one.  An explicit executor turns the fleet batch off: every
+        pending cell goes to it, which is how tests force the scalar
+        oracle.
 
-    A cell whose pool worker died is retried once, in an isolated
-    single-cell pool (:data:`~repro.sim.executors.MAX_CELL_ATTEMPTS`);
-    exceptions raised *inside* a cell are never retried.
+    Exceptions raised inside a cell are contained, never retried.
 
     No wall-clock bound is applied to a cell: its work is bounded by
     its inputs, at most ``ceil(max_duration_s / control_dt)`` full
@@ -674,10 +665,9 @@ class ScenarioRunner:
     fleet-supported discharge cells run in this process as one
     vectorised :class:`repro.fleet.FleetSimulator` batch -- provided
     there are at least :data:`FLEET_MIN_ROWS` of them.  Their results are
-    bit-for-bit the scalar ones; every other cell runs on the scalar
-    engine, which stays the oracle.  ``SimStats.cells_fleet`` and
-    ``SimStats.fleet_fallbacks`` count the choice.  ``workers`` never
-    turns the fleet off: it fans out only the cells the fleet left.
+    bit-for-bit the scalar ones; every other cell runs serially on the
+    scalar engine, which stays the oracle.  ``SimStats.cells_fleet``
+    and ``SimStats.fleet_fallbacks`` count the choice.
     """
 
     def __init__(
@@ -689,11 +679,11 @@ class ScenarioRunner:
         checkpoint_every_steps: int = 0,
         executor: Optional[LocalProcessExecutor] = None,
     ) -> None:
-        if workers is not None and workers < 0:
-            raise ValueError("workers must be non-negative")
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        self.workers = workers or 1
+        if workers not in (None, 1):
+            raise ValueError(
+                f"workers={workers!r}: the sweep process pool was removed; "
+                f"every sweep runs in this process, so workers may only "
+                f"be None or 1")
         if cache is not None and not isinstance(cache, SweepCache):
             cache = SweepCache(cache)
         self.cache = cache
@@ -862,20 +852,19 @@ class ScenarioRunner:
         """Run ``spec``; ``committed`` maps the journal's committed cell
         indices to their recorded result pickles."""
         run_started = time.perf_counter()
-        stats = SimStats(workers=self.workers)
+        stats = SimStats()
 
         # Observability (default off).  One scope spans the sweep;
-        # serially computed cells nest their cycle scopes inside it,
-        # while remote/resumed cells ship their blobs back on the
-        # results and are folded in below -- the merged totals are
-        # identical for any worker count.
+        # computed cells nest their cycle scopes inside it, while
+        # resumed cells carry their blobs in the journalled results
+        # and are folded in below.
         ob = obs.session()
         observing = ob is not None
         if observing:
             scope = ob.scope("sweep", spec.kind)
             sweep_span = ob.tracer.start("sweep", kind=spec.kind,
                                          cells=len(spec))
-        remote_blobs: List[obs.RunTelemetry] = []
+        resumed_blobs: List[obs.RunTelemetry] = []
         telemetry: Optional[obs.RunTelemetry] = None
 
         try:
@@ -923,7 +912,7 @@ class ScenarioRunner:
                     if observing:
                         telemetry_blob = getattr(result, "telemetry", None)
                         if telemetry_blob is not None:
-                            remote_blobs.append(telemetry_blob)
+                            resumed_blobs.append(telemetry_blob)
                     continue
                 if self.cache is not None:
                     hit = self.cache.get(keys[cell.index])  # type: ignore[arg-type]
@@ -1008,15 +997,12 @@ class ScenarioRunner:
                                if cell.index not in taken]
 
             if pending:
-                executor = self.executor or LocalProcessExecutor(
-                    self.workers)
+                executor = self.executor or LocalProcessExecutor()
                 ctx = ExecutionContext(
                     ckpts=ckpts,
                     checkpoint_every_steps=self.checkpoint_every_steps,
-                    obs_enabled=observing,
                     on_final=lambda index, outcome: _finalise(
                         [(index, outcome)]),
-                    stats=stats,
                     on_start=lambda index: self._set_state(
                         index, "running"),
                 )
@@ -1026,12 +1012,6 @@ class ScenarioRunner:
                 finally:
                     executor.detach()
                 stats.executor = executor.name
-                if observing:
-                    # Serially computed cells already merged their
-                    # cycle scopes into the sweep scope in-process;
-                    # remote cells ship their blobs on the result,
-                    # and the executor tells them apart.
-                    remote_blobs.extend(executor.remote_blobs())
             for index, result, elapsed, steps in computed:
                 results[index] = result
                 stats.compute_wall_s += elapsed
@@ -1064,12 +1044,12 @@ class ScenarioRunner:
                 sweep_span.finish()
                 reg = scope.registry
                 for name, value in stats.as_dict().items():
-                    if (name in ("workers", "steps_per_sec")
+                    if (name == "steps_per_sec"
                             or not isinstance(value, (int, float))):
                         continue
                     reg.counter(f"sweep.{name}").inc(value)
                 telemetry = scope.telemetry()
-                for blob in remote_blobs:
+                for blob in resumed_blobs:
                     telemetry = telemetry.merge(blob)
                 scope.close()
                 ob.export_telemetry(telemetry)

@@ -2,8 +2,9 @@
 
 Kill/resume and service tests need policies that are slow (so a
 SIGKILL lands *mid-cell*) while remaining **picklable by module
-path** -- a pool worker, or a restarted service replaying its WAL,
-can import ``repro.testing`` but not a pytest-mangled test module.
+path** -- a subprocess sweep, or a restarted service replaying its
+WAL, can import ``repro.testing`` but not a pytest-mangled test
+module.
 Keeping these doubles here, next to the code they stress, is what
 lets the same classes serve unit tests, the service's ``slow_dual``
 policy type and the CI smoke scripts.
@@ -27,7 +28,7 @@ class SlowDualPolicy(DualPolicy):
     """A DualPolicy that wastes ``delay_s`` of wall time per cell.
 
     Slowing the cell down guarantees fault injection (a SIGKILLed
-    pool worker or server) lands while work is genuinely in flight
+    sweep process or server) lands while work is genuinely in flight
     instead of after the sweep already finished.
     """
 

@@ -146,7 +146,7 @@ class ChaosRow:
     policy: str
     trace: str
     scenario: str
-    #: The cell produced a result (its worker survived and nothing raised).
+    #: The cell produced a result (nothing raised).
     survived: bool
     service_time_s: float
     #: Time-to-empty delta vs. the nominal scenario (negative = lost life).
@@ -217,7 +217,7 @@ class ChaosReport:
 def run_chaos(spec: ChaosSpec,
               runner: Optional[ScenarioRunner] = None) -> ChaosReport:
     """Execute a chaos grid and score it against the nominal scenario."""
-    runner = runner or ScenarioRunner(workers=1)
+    runner = runner or ScenarioRunner()
     sweep = runner.run(spec.to_sweep())
 
     # First pass: index the nominal baselines.

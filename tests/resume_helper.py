@@ -49,7 +49,7 @@ def build_spec(delay_s: float = 0.5) -> SweepSpec:
 
 
 def main(journal_path: str) -> None:
-    runner = ScenarioRunner(workers=1, journal=journal_path,
+    runner = ScenarioRunner(journal=journal_path,
                             checkpoint_every_steps=25)
     runner.run(build_spec())
 

@@ -111,8 +111,8 @@ class TestChaosSpec:
                          traces={"t": trace},
                          scenarios=standard_scenarios(start_s=30.0),
                          max_duration_s=300.0)
-        cold = run_chaos(spec, ScenarioRunner(workers=1, cache=tmp_path))
-        warm = run_chaos(spec, ScenarioRunner(workers=1, cache=tmp_path))
+        cold = run_chaos(spec, ScenarioRunner(cache=tmp_path))
+        warm = run_chaos(spec, ScenarioRunner(cache=tmp_path))
         assert cold.sweep.stats.cache_hits == 0
         assert warm.sweep.stats.cache_hits == len(cold.rows)
         assert warm.rows == cold.rows

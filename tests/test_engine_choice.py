@@ -254,7 +254,7 @@ def test_served_four_policy_grid_runs_every_cell_on_the_fleet(service):
     code, results = api(base, "GET", f"/jobs/{ack['job_id']}/results")
     assert code == 200
     served = [base64.b64decode(cell) for cell in results["cells"]]
-    scalar = ScenarioRunner(executor=LocalProcessExecutor(1)).run(
+    scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(
         parse_spec(grid))
     assert scalar.stats.cells_fleet == 0
     assert served == _bytes(scalar)

@@ -54,11 +54,10 @@ class TestInterface:
         assert not any(isinstance(item[1], CellFailure) for item in items)
 
     def test_runner_reports_executor_name(self, trace):
-        result = ScenarioRunner(workers=1).run(_spec(trace))
+        result = ScenarioRunner().run(_spec(trace))
         assert result.stats.executor == "local"
-        assert result.stats.workers == 1
         # Everything-from-cache sweeps never touch an executor.
-        again = ScenarioRunner(workers=1)
+        again = ScenarioRunner()
         cached = again.run(_spec(trace))
         assert cached.stats.executor == "local"
 
@@ -71,7 +70,7 @@ class TestInterface:
                 self.seen.append(len(cells))
                 return super().run(cells)
 
-        ex = Recording(workers=1)
+        ex = Recording()
         result = ScenarioRunner(executor=ex).run(_spec(trace))
         assert result.stats.executor == "recording"
         assert ex.seen == [1]

@@ -195,9 +195,8 @@ def test_sweep_fleet_backend_honours_shards_env():
         ambients_c=(25.0, 30.0, 35.0, 40.0),
         max_duration_s=MAX_DURATION_S,
     )
-    scalar = ScenarioRunner(
-        workers=1, executor=LocalProcessExecutor(1)).run(spec)
-    fleet = ScenarioRunner(workers=1).run(spec)
+    scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
+    fleet = ScenarioRunner().run(spec)
     assert fleet.stats.cells_fleet == 16
     assert len(fleet.results) == len(scalar.results) == 16
     for mine, theirs in zip(fleet.results, scalar.results):

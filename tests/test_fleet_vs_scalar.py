@@ -326,9 +326,8 @@ def test_sweep_fleet_backend_matches_scalar_backend():
     """The default in-process runner batches all 20 cells, Practice
     included; an explicit executor keeps every cell on the scalar
     engine."""
-    scalar = ScenarioRunner(
-        workers=1, executor=LocalProcessExecutor(1)).run(_sweep_spec())
-    fleet = ScenarioRunner(workers=1).run(_sweep_spec())
+    scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(_sweep_spec())
+    fleet = ScenarioRunner().run(_sweep_spec())
 
     assert len(fleet.results) == len(scalar.results) == 20
     assert (scalar.stats.cells_fleet, fleet.stats.cells_fleet) == (0, 20)

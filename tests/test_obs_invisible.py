@@ -10,9 +10,9 @@ Three invariants, each proven differentially rather than asserted:
 2. **Zero calls when off.**  With obs disabled the step loop performs
    zero registry/tracer calls (counting stubs) and zero allocations
    attributable to ``repro.obs`` (tracemalloc).
-3. **Conservation across execution modes.**  A journalled parallel
-   sweep merges its workers' telemetry into one blob whose step totals
-   equal the serial run's and the results' own step counts.
+3. **Conservation across execution modes.**  A plain and a journalled,
+   checkpointing sweep each merge their cells' telemetry into one blob
+   whose step totals equal the results' own step counts.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def test_disabled_run_allocates_nothing_in_obs(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Serial / parallel / journalled conservation
+# Plain / journalled conservation
 # ----------------------------------------------------------------------
 def _sweep_spec() -> SweepSpec:
     return SweepSpec(
@@ -184,21 +184,21 @@ def _sweep_spec() -> SweepSpec:
     )
 
 
-def test_journalled_parallel_sweep_merges_one_equal_blob(tmp_path):
+def test_journalled_sweep_merges_one_equal_blob(tmp_path):
     obs.disable()
-    plain = ScenarioRunner(workers=1).run(_sweep_spec())
+    plain = ScenarioRunner().run(_sweep_spec())
 
     obs.configure(enabled=True)
-    serial = ScenarioRunner(workers=1).run(_sweep_spec())
+    serial = ScenarioRunner().run(_sweep_spec())
 
     obs.configure(enabled=True)
-    parallel = ScenarioRunner(
-        workers=2, journal=tmp_path / "sweep.journal",
+    journalled = ScenarioRunner(
+        journal=tmp_path / "sweep.journal",
         checkpoint_every_steps=50).run(_sweep_spec())
     obs.disable()
 
     # Simulated outcomes are identical across all three execution modes.
-    for observed in (serial, parallel):
+    for observed in (serial, journalled):
         assert len(observed.results) == len(plain.results)
         for mine, theirs in zip(plain.results, observed.results):
             assert _frozen(mine) == _frozen(theirs)
@@ -206,7 +206,7 @@ def test_journalled_parallel_sweep_merges_one_equal_blob(tmp_path):
     # One merged blob per run, conserving per-cell step counts exactly.
     steps = sum(r.step_count for r in plain.results)
     assert steps > 0
-    for observed in (serial, parallel):
+    for observed in (serial, journalled):
         assert observed.telemetry is not None
         assert observed.telemetry.kind == "sweep"
         assert observed.telemetry.counter("sim.steps") == steps

@@ -1,11 +1,11 @@
 """Property tests for the metrics registry's algebra.
 
-The sweep runner folds per-cell telemetry blobs in *completion order*,
-which varies with the worker count and OS scheduling.  The aggregate is
-only deterministic because the merge is associative and commutative --
-pinned here over integer-valued amounts (where float addition is
-exact), alongside the histogram bucketing invariants and counter
-monotonicity the registry documents.
+The sweep runner folds telemetry blobs (the sweep's own and those of
+cells resumed from a journal) in whatever order they arrive.  The
+aggregate is only deterministic because the merge is associative and
+commutative -- pinned here over integer-valued amounts (where float
+addition is exact), alongside the histogram bucketing invariants and
+counter monotonicity the registry documents.
 """
 
 from __future__ import annotations

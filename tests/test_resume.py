@@ -54,7 +54,7 @@ def _cell_bytes(result):
 @pytest.fixture(scope="module")
 def reference():
     """The uninterrupted run every resumed run must reproduce."""
-    return ScenarioRunner(workers=1).run(resume_helper.build_spec())
+    return ScenarioRunner().run(resume_helper.build_spec())
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="POSIX only")
@@ -85,7 +85,7 @@ class TestKill9Resume:
         # The per-cell delay makes finishing before the kill impossible.
         assert 1 <= committed < total
 
-        resumed = ScenarioRunner(workers=1, journal=journal).resume()
+        resumed = ScenarioRunner(journal=journal).resume()
 
         assert resumed.stats.cells_resumed == committed
         assert resumed.stats.cells_computed == total - committed
@@ -94,7 +94,7 @@ class TestKill9Resume:
 
         # The journal now holds every commit: a second resume is a
         # pure replay that computes nothing.
-        replayed = ScenarioRunner(workers=1, journal=journal).resume()
+        replayed = ScenarioRunner(journal=journal).resume()
         assert replayed.stats.cells_resumed == total
         assert replayed.stats.cells_computed == 0
         assert _cell_bytes(replayed) == _cell_bytes(reference)
@@ -104,7 +104,7 @@ class TestJournalledRun:
     def test_journalled_run_matches_plain(self, tmp_path, reference):
         journal = tmp_path / "sweep.journal"
         spec = resume_helper.build_spec()
-        result = ScenarioRunner(workers=1, journal=journal).run(spec)
+        result = ScenarioRunner(journal=journal).run(spec)
         assert _cell_bytes(result) == _cell_bytes(reference)
         types = [r["type"] for r in RunJournal.replay(journal)]
         assert types[0] == "sweep_start"
@@ -113,14 +113,14 @@ class TestJournalledRun:
     def test_run_refuses_populated_journal(self, tmp_path):
         journal = tmp_path / "sweep.journal"
         spec = resume_helper.build_spec()
-        ScenarioRunner(workers=1, journal=journal).run(spec)
+        ScenarioRunner(journal=journal).run(spec)
         with pytest.raises(JournalError, match="resume"):
-            ScenarioRunner(workers=1, journal=journal).run(spec)
+            ScenarioRunner(journal=journal).run(spec)
 
     def test_torn_tail_recovered_on_resume(self, tmp_path, reference):
         journal = tmp_path / "sweep.journal"
         spec = resume_helper.build_spec()
-        ScenarioRunner(workers=1, journal=journal).run(spec)
+        ScenarioRunner(journal=journal).run(spec)
         # Keep the header + the first two commits, then simulate a
         # write torn mid-record by a crash.
         kept, commits = [], 0
@@ -132,16 +132,16 @@ class TestJournalledRun:
                     break
         journal.write_bytes(b"".join(kept) + b'{"seq":99,"type":"cell_co')
 
-        resumed = ScenarioRunner(workers=1, journal=journal).resume()
+        resumed = ScenarioRunner(journal=journal).resume()
         assert resumed.stats.cells_resumed == 2
         assert resumed.stats.cells_computed == len(spec) - 2
         assert _cell_bytes(resumed) == _cell_bytes(reference)
 
     def test_resume_without_journal_raises(self, tmp_path):
         with pytest.raises(JournalError):
-            ScenarioRunner(workers=1).resume()
+            ScenarioRunner().resume()
         with pytest.raises(JournalError):
-            ScenarioRunner(workers=1).resume(tmp_path / "absent.journal")
+            ScenarioRunner().resume(tmp_path / "absent.journal")
 
 
 class TestOldJournalFormat:
@@ -178,7 +178,7 @@ class TestOldJournalFormat:
                     "index": index, "key": keys[index],
                     "result": encode_blob(blobs[index])})
 
-        resumed = ScenarioRunner(workers=1, journal=journal).resume()
+        resumed = ScenarioRunner(journal=journal).resume()
         assert resumed.stats.cells_resumed == 2
         assert resumed.stats.cells_computed == len(spec) - 2
         assert [pickle.dumps(r, protocol=4)

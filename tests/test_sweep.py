@@ -1,16 +1,13 @@
-"""Tests for the parallel scenario-sweep engine."""
+"""Tests for the scenario-sweep engine."""
 
 import dataclasses
 import hashlib
-import os
 import pickle
-import signal
 import threading
 import time
 
 import pytest
 
-from repro import obs
 from repro.battery.aging import AgingModel
 from repro.capman.baselines import DualPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
@@ -37,17 +34,6 @@ class RaisingPolicy(DualPolicy):
 
     def build_pack(self):
         raise RuntimeError("synthetic cell failure")
-
-
-class WorkerKillerPolicy(DualPolicy):
-    """A policy that kills its worker process outright (OOM-kill stand-in).
-
-    Only safe under process fan-out -- running it serially would kill
-    the test process itself.
-    """
-
-    def build_pack(self):
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.fixture(scope="module")
@@ -197,75 +183,69 @@ class TestSpec:
 
 
 class TestParallelEqualsSerial:
-    @pytest.mark.parametrize("workers", [2, os.cpu_count() or 1])
-    def test_results_identical_to_serial(self, trace, workers):
-        spec = _spec(trace)
-        serial = ScenarioRunner(workers=1).run(spec)
-        parallel = ScenarioRunner(workers=workers).run(spec)
-        assert _cell_bytes(serial) == _cell_bytes(parallel)
-        assert [c.label for c in serial.cells] == [c.label for c in parallel.cells]
+    """The fleet batch, which steps its rows in parallel as arrays,
+    equals the serial scalar executor cell for cell."""
 
     def test_serial_repeat_identical(self, trace):
         spec = _spec(trace)
-        a = ScenarioRunner(workers=1).run(spec)
-        b = ScenarioRunner(workers=1).run(spec)
+        a = ScenarioRunner().run(spec)
+        b = ScenarioRunner().run(spec)
         assert _cell_bytes(a) == _cell_bytes(b)
 
     def test_workers_fan_out_only_what_the_fleet_rejects(self, trace,
                                                          monkeypatch):
-        """``workers`` never turns the fleet off: the discharge cells
-        take the in-process fleet batch and only the daily cells reach
-        the process pool, with results equal to the serial run."""
+        """The discharge cells take the in-process fleet batch and only
+        the daily cells reach the serial executor, with results equal
+        to the scalar oracle's."""
         spec = _mixed_spec(trace)
-        pooled = []
-        run_pool = LocalProcessExecutor._run_pool
+        scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
+        handed = []
+        run = LocalProcessExecutor.run
 
-        def recording_run_pool(self, cells):
-            pooled.append([cell.index for cell in cells])
-            return run_pool(self, cells)
+        def recording_run(self, cells):
+            handed.append([cell.index for cell in cells])
+            return run(self, cells)
 
-        monkeypatch.setattr(LocalProcessExecutor, "_run_pool",
-                            recording_run_pool)
-        serial = ScenarioRunner(workers=1).run(spec)
-        assert pooled == []
-        parallel = ScenarioRunner(workers=2).run(spec)
+        monkeypatch.setattr(LocalProcessExecutor, "run", recording_run)
+        mixed = ScenarioRunner().run(spec)
         n_discharge = len(spec) - len(spec.daily)
-        assert n_discharge >= 16
-        assert parallel.stats.cells_fleet == n_discharge
-        assert pooled == [list(range(n_discharge, len(spec)))]
+        assert n_discharge == 16 and len(spec.daily) == 2
+        assert mixed.stats.cells_fleet == n_discharge
+        assert handed == [list(range(n_discharge, len(spec)))]
         assert all(isinstance(r, MultiDayResult)
-                   for r in parallel.results[n_discharge:])
-        assert _cell_bytes(parallel) == _cell_bytes(serial)
+                   for r in mixed.results[n_discharge:])
+        assert _cell_bytes(mixed) == _cell_bytes(scalar)
 
-    def test_failed_fleet_batch_falls_back_to_the_pool(self, trace,
-                                                       monkeypatch):
+    def test_failed_fleet_batch_falls_back_to_the_serial_executor(
+            self, trace, monkeypatch):
         spec = _mixed_spec(trace)
-        serial = ScenarioRunner(workers=1).run(spec)
+        scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
         monkeypatch.setattr(sweep_module, "_run_fleet_batch",
                             lambda cells: None)
-        parallel = ScenarioRunner(workers=2).run(spec)
-        assert parallel.stats.fleet_fallbacks == 1
-        assert parallel.stats.cells_fleet == 0
-        assert not parallel.failures
-        assert _cell_bytes(parallel) == _cell_bytes(serial)
+        fallen_back = ScenarioRunner().run(spec)
+        assert fallen_back.stats.fleet_fallbacks == 1
+        assert fallen_back.stats.cells_fleet == 0
+        assert not fallen_back.failures
+        assert _cell_bytes(fallen_back) == _cell_bytes(scalar)
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            ScenarioRunner(workers=-1)
-        assert ScenarioRunner(workers=0).workers == (os.cpu_count() or 1)
+        for workers in (-1, 0, 2):
+            with pytest.raises(ValueError, match="pool was removed"):
+                ScenarioRunner(workers=workers)
+        ScenarioRunner(workers=1)  # the repository benchmark passes it
 
     def test_policy_template_not_mutated(self, trace):
         spec = _spec(trace)
         before = pickle.dumps(spec.policies["Dual"])
-        ScenarioRunner(workers=1).run(spec)
+        ScenarioRunner().run(spec)
         assert pickle.dumps(spec.policies["Dual"]) == before
 
 
 class TestCache:
     def test_hit_on_identical_spec(self, trace, tmp_path):
         spec = _spec(trace)
-        cold = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
-        warm = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        cold = ScenarioRunner(cache=tmp_path).run(spec)
+        warm = ScenarioRunner(cache=tmp_path).run(spec)
         assert cold.stats.cache_hits == 0
         assert cold.stats.cache_misses == len(spec)
         assert warm.stats.cache_hits == len(spec)
@@ -273,32 +253,32 @@ class TestCache:
         assert _cell_bytes(cold) == _cell_bytes(warm)
 
     def test_miss_on_changed_policy_parameter(self, trace, tmp_path):
-        ScenarioRunner(workers=1, cache=tmp_path).run(_spec(trace))
+        ScenarioRunner(cache=tmp_path).run(_spec(trace))
         changed = _spec(trace, capacity=44.0)
-        rerun = ScenarioRunner(workers=1, cache=tmp_path).run(changed)
+        rerun = ScenarioRunner(cache=tmp_path).run(changed)
         assert rerun.stats.cache_hits == 0
         assert rerun.stats.cache_misses == len(changed)
 
     def test_miss_on_changed_code_salt(self, trace, tmp_path):
         spec = _spec(trace)
-        ScenarioRunner(workers=1, cache=tmp_path, salt="v1").run(spec)
-        rerun = ScenarioRunner(workers=1, cache=tmp_path, salt="v2").run(spec)
+        ScenarioRunner(cache=tmp_path, salt="v1").run(spec)
+        rerun = ScenarioRunner(cache=tmp_path, salt="v2").run(spec)
         assert rerun.stats.cache_hits == 0
 
     def test_corrupted_entry_recovers(self, trace, tmp_path):
         spec = _spec(trace)
-        good = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        good = ScenarioRunner(cache=tmp_path).run(spec)
         # Corrupt every cache entry on disk.
         entries = list(tmp_path.glob("*.pkl"))
         assert entries
         for path in entries:
             path.write_bytes(b"not a pickle")
-        recovered = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        recovered = ScenarioRunner(cache=tmp_path).run(spec)
         assert recovered.stats.cache_hits == 0
         assert recovered.stats.cache_misses == len(spec)
         assert _cell_bytes(recovered) == _cell_bytes(good)
         # And the cache is healthy again afterwards.
-        warm = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        warm = ScenarioRunner(cache=tmp_path).run(spec)
         assert warm.stats.cache_hits == len(spec)
 
     def test_cache_object_roundtrip(self, tmp_path):
@@ -312,7 +292,7 @@ class TestCache:
 class TestStats:
     def test_throughput_accounting(self, trace):
         spec = _spec(trace)
-        out = ScenarioRunner(workers=1).run(spec)
+        out = ScenarioRunner().run(spec)
         stats = out.stats
         assert stats.cells_total == len(spec) == stats.cells_computed
         assert stats.steps_total > 0
@@ -324,14 +304,14 @@ class TestStats:
         assert "steps_per_sec" in d
 
     def test_results_have_deterministic_wall_time(self, trace):
-        out = ScenarioRunner(workers=1).run(_spec(trace))
+        out = ScenarioRunner().run(_spec(trace))
         assert all(r.wall_time_s == 0.0 for r in out.results)
         assert all(r.step_count > 0 for r in out.results)
 
 
 class TestLookup:
     def test_get_and_by_policy(self, trace):
-        out = ScenarioRunner(workers=1).run(_spec(trace))
+        out = ScenarioRunner().run(_spec(trace))
         dual = out.get(policy="Dual")
         assert dual.policy_name == "Dual"
         by = out.by_policy(trace="Video")
@@ -342,7 +322,7 @@ class TestLookup:
             out.get(bogus_axis="x")
 
     def test_get_rejects_ambiguous(self, trace):
-        out = ScenarioRunner(workers=1).run(_spec(trace))
+        out = ScenarioRunner().run(_spec(trace))
         with pytest.raises(KeyError):
             out.get(trace="Video")  # two policies match
 
@@ -363,7 +343,7 @@ class TestFailureContainment:
 
     def test_raising_cell_reported_not_raised(self, trace):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
-        out = ScenarioRunner(workers=1).run(spec)
+        out = ScenarioRunner().run(spec)
         assert out.stats.cells_failed == 1
         failures = out.failures
         assert len(failures) == 1
@@ -382,53 +362,16 @@ class TestFailureContainment:
         healthy = SweepSpec(
             policies={"Good": DualPolicy(capacity_mah=40.0)},
             traces={"Video": trace}, max_duration_s=900.0)
-        mixed = ScenarioRunner(workers=1).run(spec)
-        alone = ScenarioRunner(workers=1).run(healthy)
+        mixed = ScenarioRunner().run(spec)
+        alone = ScenarioRunner().run(healthy)
         assert (pickle.dumps(mixed.get(policy="Good"))
                 == pickle.dumps(alone.get(policy="Good")))
 
-    def test_raising_cell_parallel_identical_to_serial(self, trace):
-        spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
-        serial = ScenarioRunner(workers=1).run(spec)
-        parallel = ScenarioRunner(workers=2).run(spec)
-        assert _cell_bytes(serial) == _cell_bytes(parallel)
-
-    def test_killed_worker_contained_and_healthy_cells_survive(self, trace):
-        spec = self._mixed_spec(trace, WorkerKillerPolicy(capacity_mah=40.0))
-        out = ScenarioRunner(workers=2).run(spec)
-        assert out.stats.cells_failed == 1
-        [(cell, failure)] = out.failures
-        assert cell.policy_key == "Bad"
-        assert failure.attempts == 2       # initial try + 1 retry
-        assert out.stats.cell_retries >= 1
-        # Healthy cells completed with valid, byte-stable results.
-        healthy = SweepSpec(
-            policies={"Good": DualPolicy(capacity_mah=40.0),
-                      "AlsoGood": PracticePolicy(capacity_mah=80.0)},
-            traces={"Video": trace}, max_duration_s=900.0)
-        alone = ScenarioRunner(workers=1).run(healthy)
-        assert (pickle.dumps(out.get(policy="Good"))
-                == pickle.dumps(alone.get(policy="Good")))
-        assert (pickle.dumps(out.get(policy="AlsoGood"))
-                == pickle.dumps(alone.get(policy="AlsoGood")))
-
-    def test_killed_worker_retry_counted_on_stats_and_obs(self, trace):
-        spec = self._mixed_spec(trace, WorkerKillerPolicy(capacity_mah=40.0))
-        obs.configure(enabled=True)
-        try:
-            out = ScenarioRunner(workers=2).run(spec)
-        finally:
-            obs.disable()
-        assert out.stats.cell_retries >= 1
-        assert (out.telemetry.counter("sweep.cell_retries")
-                == out.stats.cell_retries)
-        assert "sweep.retries" not in out.telemetry.counters
-
     def test_failures_never_cached(self, trace, tmp_path):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
-        first = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        first = ScenarioRunner(cache=tmp_path).run(spec)
         assert first.stats.cells_failed == 1
-        second = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        second = ScenarioRunner(cache=tmp_path).run(spec)
         # Healthy cells hit; the failed cell is recomputed every run.
         assert second.stats.cache_hits == 2
         assert second.stats.cache_misses == 1
@@ -436,7 +379,7 @@ class TestFailureContainment:
 
     def test_failure_str_and_outcome_split(self, trace):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
-        out = ScenarioRunner(workers=1).run(spec)
+        out = ScenarioRunner().run(spec)
         bad = out.get(policy="Bad")
         assert isinstance(bad, CellFailure)
         assert "RuntimeError" in str(bad)
@@ -451,12 +394,12 @@ class TestDailyKind:
             max_duration_s=6 * 3600.0,
             extra={"n_days": 2, "aging": AgingModel(rate_stress_weight=2.0)},
         )
-        cold = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        cold = ScenarioRunner(cache=tmp_path).run(spec)
         res = cold.get(policy="Dual")
         assert isinstance(res, MultiDayResult)
         assert len(res.days) == 2
         assert res.step_count > 0 and res.wall_time_s == 0.0
-        warm = ScenarioRunner(workers=1, cache=tmp_path).run(spec)
+        warm = ScenarioRunner(cache=tmp_path).run(spec)
         assert warm.stats.cache_hits == 1
         assert pickle.dumps(warm.results[0]) == pickle.dumps(cold.results[0])
 
@@ -465,7 +408,7 @@ class TestProgress:
     """The thread-safe mid-run progress snapshot (service poller API)."""
 
     def test_completed_run_reports_every_cell_done(self, trace):
-        runner = ScenarioRunner(workers=1)
+        runner = ScenarioRunner()
         assert runner.progress().total == 0  # empty before any run
         runner.run(_spec(trace))
         progress = runner.progress()
@@ -485,7 +428,7 @@ class TestProgress:
             traces={"Video": trace},
             max_duration_s=900.0,
         )
-        runner = ScenarioRunner(workers=1)
+        runner = ScenarioRunner()
         box = {}
         thread = threading.Thread(target=lambda: box.update(
             result=runner.run(spec)))
@@ -520,13 +463,13 @@ class TestProgress:
             traces={"Video": trace},
             max_duration_s=900.0,
         )
-        runner = ScenarioRunner(workers=1, cache=tmp_path)
+        runner = ScenarioRunner(cache=tmp_path)
         runner.run(spec)
         first = runner.progress()
         assert first.done == 1 and first.failed == 1
         assert sorted(first.cells.values()) == ["done", "failed"]
 
-        again = ScenarioRunner(workers=1, cache=tmp_path)
+        again = ScenarioRunner(cache=tmp_path)
         again.run(spec)
         second = again.progress()
         # The good cell is a cache hit; the failure was never cached.
@@ -535,7 +478,7 @@ class TestProgress:
         assert second.done == 1 and second.failed == 1
 
     def test_as_dict_is_json_shaped(self, trace):
-        runner = ScenarioRunner(workers=1)
+        runner = ScenarioRunner()
         runner.run(_spec(trace))
         payload = runner.progress().as_dict()
         assert payload["finished"] is True
