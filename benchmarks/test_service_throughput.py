@@ -10,7 +10,9 @@ The grid is large enough (at least ``FLEET_MIN_ROWS`` fleet-eligible
 cells) that the served job runs as one fleet batch, so the timed rate
 tracks the engine rather than HTTP round-trips and status polling;
 ``cells_fleet`` is gated exactly so a grid that silently fell back to
-the scalar path fails the gate.  The section pins what the service
+the scalar path fails the gate, and ``cache_files`` (entries in the
+service's ``cache/`` directory after the job, ``.lock`` aside) is
+gated exactly so the grid's results stay one pack file.  The section pins what the service
 must never regress on:
 
 * exactly-once accounting -- ``failed_cells`` and ``double_commits``
@@ -23,7 +25,7 @@ must never regress on:
   (framing, WAL fsyncs, poll loops) cannot silently balloon.
 
 Deterministic work accounting (``cells_total``, ``cells_fleet``,
-``steps_total``) is gated exactly; rates relatively.  The serial
+``steps_total``, ``cache_files``) is gated exactly; rates relatively.  The serial
 reference passes an explicit executor, which keeps it off the fleet,
 so ``serial_steps_per_sec`` stays the scalar engine's rate.
 """
@@ -110,6 +112,8 @@ def _measure(tmp_path):
         code, results = _api(base, "GET", f"/jobs/{job_id}/results")
         assert code == 200, results
         served = [base64.b64decode(cell) for cell in results["cells"]]
+        cache_files = sum(1 for path in (root / "cache").iterdir()
+                          if path.name != ".lock")
 
         # Resubmission of the identical grid: pure content-hash dedupe.
         code, again = _api(base, "POST", "/jobs", body=GRID)
@@ -121,13 +125,13 @@ def _measure(tmp_path):
 
     journal = root / "jobs" / job_id / "run.journal"
     return (spec, serial, serial_wall, served, service_wall,
-            submit_latency, status, deduped, journal)
+            submit_latency, status, deduped, journal, cache_files)
 
 
 def test_service_throughput(benchmark, tmp_path, monkeypatch):
     monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
     (spec, serial, serial_wall, served, service_wall, submit_latency,
-     status, deduped, journal) = benchmark.pedantic(
+     status, deduped, journal, cache_files) = benchmark.pedantic(
         lambda: _measure(tmp_path), rounds=1, iterations=1)
 
     # Exactly-once audit straight from the durable record.
@@ -159,6 +163,7 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
         "deduped_jobs": deduped,
         "failed_cells": failed_cells,
         "double_commits": double_commits,
+        "cache_files": cache_files,
         "steps_per_sec": service_rate,
         "serial_steps_per_sec": serial_rate,
         "serial_wall_s": serial_wall,
@@ -182,3 +187,4 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
     assert double_commits == 0, section
     assert failed_cells == 0, section
     assert deduped == 1, section
+    assert cache_files == 1, section

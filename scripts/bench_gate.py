@@ -20,7 +20,8 @@ three rules, driven by one table (:data:`SECTIONS`):
   ``failed_cells`` and ``double_commits`` are exact-zero in the
   baseline, so any failed or double-committed cell fails the gate as a
   correctness regression, not a perf one -- the engine that served it
-  (``cells_fleet``) and content-hash dedupe (``deduped_jobs``).
+  (``cells_fleet``), content-hash dedupe (``deduped_jobs``) and the
+  one cache pack the served grid writes (``cache_files``).
 * **Throughput holds within a tolerance.**  Each section's rate field
   must stay above ``tolerance x baseline`` (default 0.5x, i.e. flag a
   2x slowdown; CI machines are noisy, real hot-loop regressions are
@@ -105,8 +106,9 @@ _FLEET_EXACT = ("batch", "steps_total", "fallback_steps")
 #: (every row on the compiled-table vector driver, none on the scalar
 #: adapter); the service's ``failed_cells``/``double_commits`` are
 #: exact-zero correctness pins, ``cells_fleet`` pins that the served
-#: grid ran as one fleet batch, and ``deduped_jobs`` pins that an
-#: identical resubmission stayed a pure content-hash dedupe.
+#: grid ran as one fleet batch, ``deduped_jobs`` pins that an
+#: identical resubmission stayed a pure content-hash dedupe, and
+#: ``cache_files`` pins that its results went to one cache pack.
 SECTIONS = (
     Section("serial",
             exact=("grid", "steps_total", "cells_total", "cells_computed",
@@ -118,7 +120,8 @@ SECTIONS = (
             rate="device_steps_per_sec", min_speedup=20.0),
     Section("service",
             exact=("cells_total", "cells_fleet", "steps_total",
-                   "deduped_jobs", "failed_cells", "double_commits"),
+                   "deduped_jobs", "failed_cells", "double_commits",
+                   "cache_files"),
             rate="steps_per_sec"),
 )
 

@@ -31,7 +31,7 @@ keep that watertight:
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,9 +53,12 @@ __all__ = [
     "rate_loss",
     "well_substeps",
     "well_substeps_array",
+    "well_substep_cap",
+    "well_substeps_capped",
     "step_wells",
     "transient_alpha",
     "step_transient",
+    "supercap_energies",
     "supercap_smooth",
 ]
 
@@ -179,10 +182,26 @@ def well_substeps(dt: float, c: float, k: float) -> int:
 
 def well_substeps_array(dt: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Vector twin of :func:`well_substeps` (same counts, int64 array)."""
+    return well_substeps_capped(dt, well_substep_cap(c, k))
+
+
+def well_substep_cap(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The dt-independent part of :func:`well_substeps_array`.
+
+    Each element's longest stable substep ``0.2 / k_eff``, floored at
+    1 us; ``inf`` where ``k_eff <= 0`` (the scalar form's ``max_sub =
+    dt`` gives those one substep, and so does ``dt / inf``).
+    """
     k_eff = k * (1.0 / c + 1.0 / (1.0 - c))
     positive = k_eff > 0
-    max_sub = np.where(positive, 0.2 / np.where(positive, k_eff, 1.0), dt)
-    steps = np.ceil(dt / np.maximum(max_sub, 1e-6))
+    max_sub = np.where(positive, 0.2 / np.where(positive, k_eff, 1.0),
+                       np.inf)
+    return np.maximum(max_sub, 1e-6)
+
+
+def well_substeps_capped(dt: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Substep counts from a :func:`well_substep_cap` array."""
+    steps = np.ceil(dt / cap)
     return np.minimum(np.maximum(steps, 1), 10_000).astype(np.int64)
 
 
@@ -250,10 +269,20 @@ def step_transient(v_transient: Number, current: Number, r1: Number,
 # ----------------------------------------------------------------------
 # Supercapacitor filter
 # ----------------------------------------------------------------------
+def supercap_energies(capacitance_f: Number, rated_voltage: Number
+                      ) -> Tuple[Number, Number]:
+    """``(full_j, floor_j)``: a capacitor's energy at rated voltage and
+    at the rail floor (half of rated)."""
+    full = 0.5 * capacitance_f * (rated_voltage * rated_voltage)
+    v_min = 0.5 * rated_voltage
+    return full, 0.5 * capacitance_f * (v_min * v_min)
+
+
 def supercap_smooth(
     demand_w: Number, dt: Number, voltage: Number,
     capacitance_f: Number, rated_voltage: Number, esr_ohm: Number,
     refill_power_w: Number,
+    energies: Optional[Tuple[Number, Number]] = None,
 ) -> Tuple[Number, Number, Number, Number]:
     """One step of the LITTLE-rail supercap filter.
 
@@ -261,12 +290,13 @@ def supercap_smooth(
     new_voltage)`` -- the functional form of
     :meth:`repro.battery.supercap.Supercapacitor.smooth`, which
     delegates here so the scalar object and the fleet arrays run the
-    same arithmetic.
+    same arithmetic.  ``energies`` is :func:`supercap_energies` of the
+    capacitor, which both callers compute once; it is derived here
+    when omitted.
     """
     stored = 0.5 * capacitance_f * (voltage * voltage)
-    full = 0.5 * capacitance_f * (rated_voltage * rated_voltage)
-    v_min = 0.5 * rated_voltage
-    floor = 0.5 * capacitance_f * (v_min * v_min)
+    full, floor = (supercap_energies(capacitance_f, rated_voltage)
+                   if energies is None else energies)
     headroom = pymax(0.0, full - stored)
 
     burst = demand_w > refill_power_w

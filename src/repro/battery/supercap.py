@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Tuple
 
 from ..durability.state import pack_state, unpack_state
 from . import kinetics
@@ -41,11 +42,17 @@ class Supercapacitor:
     refill_power_w: float = 1.5
 
     _voltage: float = field(init=False, repr=False)
+    #: :func:`~repro.battery.kinetics.supercap_energies`, fixed by the
+    #: parameters above.
+    _energies: Tuple[float, float] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         if self.capacitance_f <= 0 or self.rated_voltage <= 0:
             raise ValueError("capacitance and rated voltage must be positive")
         self._voltage = self.rated_voltage
+        self._energies = kinetics.supercap_energies(self.capacitance_f,
+                                                    self.rated_voltage)
 
     @property
     def voltage(self) -> float:
@@ -78,7 +85,7 @@ class Supercapacitor:
         battery_w, from_cap_j, heat_j, self._voltage = kinetics.supercap_smooth(
             demand_w, dt, self._voltage,
             self.capacitance_f, self.rated_voltage, self.esr_ohm,
-            self._refill_rate_w())
+            self._refill_rate_w(), self._energies)
         return SmoothedDraw(battery_power_w=battery_w, capacitor_energy_j=from_cap_j,
                             heat_j=heat_j)
 

@@ -331,7 +331,8 @@ class FleetSimulator:
             self.branch_steps["supercap"] += 1
             sc_batt, sc_capj, sc_heat, sc_v2 = K.supercap_smooth(
                 gross, dt, st.supercap_v, p["sc_cap_f"], p["sc_rated_v"],
-                p["sc_esr"], p["sc_refill_w"])
+                p["sc_esr"], p["sc_refill_w"],
+                (p["sc_full_j"], p["sc_floor_j"]))
             battery_power = np.where(sc_rows, sc_batt, gross)
             cap_j = np.where(sc_rows, sc_capj, 0.0)
             heat = np.where(sc_rows, heat + sc_heat, heat)
@@ -368,7 +369,7 @@ class FleetSimulator:
         cur = np.zeros((2, n))
         cur.put(flat, drawn_eff)
         y1, y2 = self._wells(st.avail, st.bound, cur, dt, p["c"], p["k"],
-                             run)
+                             p["well_cap"], run)
         tr = np.zeros((2, n))
         tr.put(flat, cur_eff)
         alpha = np.exp(-dt / p["tau"])
@@ -537,8 +538,8 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Each row takes its own substep count (and h = dt / count); a row
     # outside ``mask`` gets count 0, so the kernel leaves it frozen.
-    def _wells(self, y1, y2, cur, dt, c, k, mask):
-        counts = np.where(mask, K.well_substeps_array(dt, c, k), 0)
+    def _wells(self, y1, y2, cur, dt, c, k, cap, mask):
+        counts = np.where(mask, K.well_substeps_capped(dt, cap), 0)
         return K.step_wells(y1, y2, cur, dt / np.maximum(counts, 1),
                             counts, c, k)
 

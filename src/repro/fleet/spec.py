@@ -248,6 +248,7 @@ class FleetSpec:
         schedules: List[Schedule] = []
         sched_cache: Dict[Tuple[int, float, float], Schedule] = {}
         topology = None
+        topologies: Dict[float, Tuple] = {}
 
         params: Dict[str, np.ndarray] = {}
         cell_params = params["cell"] = np.zeros((len(CELL_PARAMS), 2, n))
@@ -276,7 +277,12 @@ class FleetSpec:
                     phone.tec.cold_node, phone.tec.hot_node) != ("cpu",
                                                                  "surface"):
                 raise UnsupportedDeviceError(f"device {i}: non-standard TEC")
-            topo = phone.thermal.compiled_topology()
+            # The phone's network is phone_thermal_network(ambient_c):
+            # compile it once per ambient, not once per row.
+            topo = topologies.get(dev.ambient_c)
+            if topo is None:
+                topo = topologies[dev.ambient_c] = \
+                    phone.thermal.compiled_topology()
             if tuple(topo[0]) != NODE_NAMES:
                 raise UnsupportedDeviceError(
                     f"device {i}: non-standard thermal node set {topo[0]}")
@@ -345,6 +351,11 @@ class FleetSpec:
             rec[i] = dev.record_every
             brw = params.setdefault("brownout_limit", np.zeros(n, np.int64))
             brw[i] = dev.brownout_limit
+
+        # Parameter-only parts of the per-step kernels.
+        params["well_cap"] = K.well_substep_cap(params["c"], params["k"])
+        params["sc_full_j"], params["sc_floor_j"] = K.supercap_energies(
+            params["sc_cap_f"], params["sc_rated_v"])
 
         cap = params["cap"]
         params["cap_total"] = np.where(params["single"], cap[BIG_SLOT],

@@ -40,6 +40,7 @@ import hashlib
 import logging
 import os
 import pickle
+import struct
 import tempfile
 import threading
 import time
@@ -311,70 +312,293 @@ def cell_key(cell: ScenarioCell, salt: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 # On-disk result cache
 # ----------------------------------------------------------------------
-class SweepCache:
-    """Pickle-per-cell result cache with atomic writes.
+#: First bytes of every pack file.
+PACK_MAGIC = b"SWPACK1\n"
+#: Pack head: magic, entry count, byte length of the index after it.
+_PACK_HEAD = struct.Struct("<8sII")
+#: One index record: key length, entry offset, entry length.
+_PACK_RECORD = struct.Struct("<HQQ")
+#: Bytes read to find a pack's index (a 96-cell grid's is ~8 KiB).
+_INDEX_READ = 16384
+#: A directory listing taken less than this long after the directory's
+#: last change is not trusted: a file added later in the same
+#: timestamp tick would leave the directory's identity unchanged.
+_RACY_NS = 20_000_000
 
-    Corrupted or unreadable entries are treated as misses and deleted,
-    so a torn write (or a foreign file) never poisons a sweep.  Writes
-    additionally hold an advisory :class:`~repro.durability.lock.FileLock`
-    on an adjacent ``.lock`` file, so two runners pointed at the same
-    directory serialise their write sequences instead of interleaving
-    them (the kernel releases the lock if a holder dies, so a crashed
-    runner can never wedge the cache).
+#: ``(st_ino, st_size, st_mtime_ns)``: which file a name pointed at.
+FileIdentity = Tuple[int, int, int]
+
+
+def _identity(st: os.stat_result) -> FileIdentity:
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _pack_name(keys: Sequence[str]) -> str:
+    """A pack's file name, a pure function of its sorted key set."""
+    digest = hashlib.sha256("\0".join(keys).encode("utf-8")).hexdigest()
+    return f"{digest[:40]}.pack"
+
+
+def _pack_parts(keys: Sequence[str], blobs: Sequence[bytes]
+                ) -> Tuple[List[bytes], List[Tuple[int, int]]]:
+    """The byte parts of a pack and each entry's ``(offset, length)``."""
+    raw = [key.encode("utf-8") for key in keys]
+    index_len = _PACK_RECORD.size * len(raw) + sum(map(len, raw))
+    offset = _PACK_HEAD.size + index_len
+    records: List[bytes] = []
+    spots: List[Tuple[int, int]] = []
+    for name, blob in zip(raw, blobs):
+        records.append(_PACK_RECORD.pack(len(name), offset, len(blob)))
+        spots.append((offset, len(blob)))
+        offset += len(blob)
+    head = _PACK_HEAD.pack(PACK_MAGIC, len(raw), index_len)
+    return [head, *records, *raw, *blobs], spots
+
+
+def _read_index(fd: int, size: int) -> Optional[Dict[str, Tuple[int, int]]]:
+    """Parse an open pack's index: key -> ``(offset, length)``.
+
+    None unless the index is whole and well-formed and every entry lies
+    inside the file.
+    """
+    head = os.pread(fd, _INDEX_READ, 0)
+    if len(head) < _PACK_HEAD.size:
+        return None
+    magic, count, index_len = _PACK_HEAD.unpack_from(head)
+    end = _PACK_HEAD.size + index_len
+    names_at = _PACK_HEAD.size + _PACK_RECORD.size * count
+    if magic != PACK_MAGIC or end > size or names_at > end:
+        return None
+    if len(head) < end:
+        head += os.pread(fd, end - len(head), len(head))
+        if len(head) < end:
+            return None
+    entries: Dict[str, Tuple[int, int]] = {}
+    pos = names_at
+    for key_len, offset, length in _PACK_RECORD.iter_unpack(
+            head[_PACK_HEAD.size:names_at]):
+        if offset < end or offset + length > size:
+            return None
+        entries[head[pos:pos + key_len].decode("utf-8", "replace")] = (
+            offset, length)
+        pos += key_len
+    return entries if pos == end else None
+
+
+class SweepCache:
+    """On-disk result cache: one immutable pack file per write.
+
+    :meth:`put` stores a batch of entries -- a sweep's computed cells --
+    as one ``<digest>.pack`` file: :data:`PACK_MAGIC`, an index of
+    ``(key, offset, length)`` records, then each entry's protocol-4
+    pickle.  The name is a digest of the sorted key set, so rewriting
+    the same keys replaces the pack (the last writer wins).  Writes go
+    to a temp file renamed into place while holding an advisory
+    :class:`~repro.durability.lock.FileLock` on the adjacent ``.lock``
+    file, so concurrent runners serialise their writes (the kernel
+    releases the lock if a holder dies, so a crashed runner can never
+    wedge the cache).
+
+    :meth:`get` reads only its entry's bytes, located through an
+    in-memory index shared by the threads using this instance.  A key
+    the index lacks triggers one directory listing -- skipped while the
+    directory is unchanged since the last trusted one -- which picks up
+    packs written since by any process, and ``<key>.pkl`` files from
+    the older one-pickle-per-cell layout, which are still read.  A pack
+    replaced since it was indexed is re-indexed before the read.
+
+    Anything unreadable -- a pack whose index does not parse, an entry
+    that does not unpickle, a torn legacy file -- is a miss: the file
+    is deleted (if it is still the one read) and its keys leave the
+    index, so a torn write or a foreign file never poisons a sweep.
+
+    A key's bytes must be a pure function of the key: two packs that
+    hold one key may then serve it interchangeably.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.directory)
         #: Advisory inter-process writer lock (reads stay lock-free).
         self.lock = FileLock(self.directory / ".lock")
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
+        self._guard = threading.Lock()
+        #: key -> (file name, identity when indexed, offset, length);
+        #: a legacy file has identity None and length -1 (whole file).
+        self._index: Dict[str, Tuple[str, Optional[FileIdentity],
+                                     int, int]] = {}
+        #: Indexed file name -> its keys.
+        self._files: Dict[str, Tuple[str, ...]] = {}
+        #: Directory identity at the last trusted listing.
+        self._listed: Optional[FileIdentity] = None
 
     def get(self, key: str) -> Optional[CellResult]:
         """The cached result, or None on miss/corruption."""
-        path = self._path(key)
+        found = self._read(key)
+        if found is None:
+            return None
+        blob, name, ident = found
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except FileNotFoundError:
-            return None
+            return pickle.loads(blob)
         except Exception:
-            # Torn write / wrong format: recover by recomputing.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._discard(name, ident)
             return None
 
-    def put(self, key: str, result: Union[CellResult, bytes]) -> None:
-        """Store a result atomically (write-to-temp + rename, locked).
+    def put(self, entries: Mapping[str, Union[CellResult, bytes]]) -> None:
+        """Store ``entries`` as one pack (temp file + rename, locked).
 
-        ``bytes`` are taken as the result already pickled: the runner
-        pickles each computed outcome once and writes those same bytes
-        to its journal and here.
+        ``bytes`` values are taken as the result already pickled: the
+        runner pickles each computed outcome once and writes those same
+        bytes to its journal and here.  Other values are pickled
+        (protocol 4) while the lock is held.
         """
-        path = self._path(key)
+        keys = sorted(entries)
+        if not keys:
+            return
+        name = _pack_name(keys)
         with self.lock:
-            fd, tmp = tempfile.mkstemp(dir=str(self.directory), suffix=".tmp")
+            blobs = [value if isinstance(value, bytes)
+                     else pickle.dumps(value, protocol=4)
+                     for value in map(entries.__getitem__, keys)]
+            parts, spots = _pack_parts(keys, blobs)
+            fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    if isinstance(result, bytes):
-                        fh.write(result)
-                    else:
-                        pickle.dump(result, fh,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
+                    fh.writelines(parts)
+                    fh.flush()
+                    ident = _identity(os.fstat(fh.fileno()))
+                os.replace(tmp, os.path.join(self._dir, name))
             except BaseException:
                 try:
                     os.unlink(tmp)
                 except OSError:
                     pass
                 raise
+        self._note(name, ident, dict(zip(keys, spots)))
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.pkl"))
+        """Distinct keys across readable packs and legacy files."""
+        keys: Set[str] = set()
+        for name in os.listdir(self._dir):
+            if name.endswith(".pkl"):
+                keys.add(name[:-4])
+            elif name.endswith(".pack"):
+                try:
+                    keys.update(self._open_index(name)[1] or ())
+                except OSError:
+                    pass
+        return len(keys)
+
+    # -- index ---------------------------------------------------------
+    def _note(self, name: str, ident: Optional[FileIdentity],
+              spots: Mapping[str, Tuple[int, int]]) -> None:
+        with self._guard:
+            self._files[name] = tuple(spots)
+            for key, (offset, length) in spots.items():
+                self._index[key] = (name, ident, offset, length)
+
+    def _forget(self, name: str) -> None:
+        with self._guard:
+            for key in self._files.pop(name, ()):
+                if self._index.get(key, ("",))[0] == name:
+                    del self._index[key]
+
+    def _discard(self, name: str, ident: FileIdentity) -> None:
+        """Delete an unreadable file if it is still the one read."""
+        path = os.path.join(self._dir, name)
+        try:
+            if _identity(os.stat(path)) == ident:
+                os.unlink(path)
+        except OSError:
+            pass
+        self._forget(name)
+
+    def _open_index(self, name: str) -> Tuple[
+            FileIdentity, Optional[Dict[str, Tuple[int, int]]]]:
+        """Pack ``name``'s identity and index (None if it does not
+        parse); raises ``OSError`` if the file cannot be opened."""
+        fd = os.open(os.path.join(self._dir, name), os.O_RDONLY)
+        try:
+            st = os.fstat(fd)
+            return _identity(st), _read_index(fd, st.st_size)
+        finally:
+            os.close(fd)
+
+    def _rescan(self) -> bool:
+        """Index files added since the last listing; False when the
+        directory is unchanged since the last trusted listing."""
+        st = os.stat(self._dir)
+        listed = _identity(st)
+        with self._guard:
+            if listed == self._listed:
+                return False
+            known = set(self._files)
+        names = os.listdir(self._dir)
+        trusted = time.time_ns() - st.st_mtime_ns >= _RACY_NS
+        for name in names:
+            if name in known:
+                continue
+            if name.endswith(".pkl"):
+                self._note(name, None, {name[:-4]: (0, -1)})
+            elif name.endswith(".pack"):
+                try:
+                    ident, spots = self._open_index(name)
+                except FileNotFoundError:
+                    continue
+                if spots is None:
+                    self._discard(name, ident)
+                else:
+                    self._note(name, ident, spots)
+        with self._guard:
+            self._listed = listed if trusted else None
+        return True
+
+    def _lookup(self, key: str
+                ) -> Optional[Tuple[str, Optional[FileIdentity], int, int]]:
+        with self._guard:
+            where = self._index.get(key)
+        if where is None and self._rescan():
+            with self._guard:
+                where = self._index.get(key)
+        return where
+
+    def _read(self, key: str
+              ) -> Optional[Tuple[bytes, str, FileIdentity]]:
+        """``key``'s entry bytes with the file name and identity they
+        came from, or None on a miss or an unreadable file."""
+        for _attempt in range(2):
+            where = self._lookup(key)
+            if where is None:
+                return None
+            name, ident, offset, length = where
+            try:
+                fd = os.open(os.path.join(self._dir, name), os.O_RDONLY)
+            except FileNotFoundError:
+                # Deleted since indexed: the key may live in another pack.
+                self._forget(name)
+                continue
+            try:
+                st = os.fstat(fd)
+                now = _identity(st)
+                if length < 0:
+                    return os.pread(fd, st.st_size, 0), name, now
+                if now != ident:
+                    spots = _read_index(fd, st.st_size)
+                    if spots is None:
+                        self._discard(name, now)
+                        return None
+                    self._note(name, now, spots)
+                    if key not in spots:
+                        return None
+                    offset, length = spots[key]
+                blob = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
+            if len(blob) != length:
+                self._discard(name, now)
+                return None
+            return blob, name, now
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -1021,6 +1245,7 @@ class ScenarioRunner:
                     stats.cells_failed += 1
             if self.cache is not None and computed:
                 cache_started = time.perf_counter()
+                entries: Dict[str, Union[CellResult, bytes]] = {}
                 for index, result, _, _ in computed:
                     if not isinstance(result, CellFailure):
                         # Telemetry is run-local observability, not
@@ -1032,7 +1257,9 @@ class ScenarioRunner:
                                 dataclasses.replace(result, telemetry=None)
                         else:
                             entry = pickle_of(index, result)
-                        self.cache.put(keys[index], entry)  # type: ignore[arg-type]
+                        entries[keys[index]] = entry  # type: ignore[index]
+                # One pack per run: a served grid writes one file.
+                self.cache.put(entries)
                 stats.cache_wall_s += time.perf_counter() - cache_started
 
             stats.total_wall_s = time.perf_counter() - run_started

@@ -179,3 +179,41 @@ def test_mixed_substep_fleet_matches_scalar_rowwise(monkeypatch):
             POLICIES[policy](), _TRACE, profile=PROFILES[profile],
             control_dt=dt, max_duration_s=MAX_DURATION_S)
         assert _frozen(mine) == _frozen(ref), (policy, profile, dt)
+
+
+# ----------------------------------------------------------------------
+# Build time: parameter-only work happens once
+# ----------------------------------------------------------------------
+def test_well_substep_cap_gives_the_scalar_counts():
+    """The fleet's build-time cap plus a per-step division gives
+    :func:`K.well_substeps`'s counts, non-exchanging wells included."""
+    dts = np.concatenate([RNG.uniform(0.05, 900.0, 64), [0.0, 1e-7, 2.0]])
+    cs = RNG.uniform(0.2, 0.8, len(dts))
+    ks = RNG.uniform(1e-5, 0.5, len(dts))
+    ks[::5] = 0.0
+    counts = K.well_substeps_capped(dts, K.well_substep_cap(cs, ks))
+    assert counts.dtype == np.int64
+    for i in range(len(dts)):
+        assert K.well_substeps(float(dts[i]), float(cs[i]),
+                               float(ks[i])) == int(counts[i])
+
+
+def test_thermal_topology_compiled_once_per_ambient(monkeypatch):
+    from repro.thermal.rc_network import ThermalNetwork
+
+    calls = []
+    compiled = ThermalNetwork.compiled_topology
+
+    def counting(net):
+        calls.append(net)
+        return compiled(net)
+
+    monkeypatch.setattr(ThermalNetwork, "compiled_topology", counting)
+    devices = [DeviceSpec(policy=POLICIES[policy](), trace=_TRACE,
+                          profile=PROFILES[profile], ambient_c=ambient,
+                          max_duration_s=MAX_DURATION_S)
+               for policy in POLICIES for profile in PROFILES
+               for ambient in (25.0, 35.0)]
+    sim = FleetSpec(devices).build()
+    assert len(devices) == 16 and len(calls) == 2
+    assert sim.links == phone_thermal_network(35.0).compiled_topology()[1]

@@ -166,10 +166,12 @@ def test_served_fleet_grid_bytes_agree_on_every_path(service):
         == direct
     assert [commits[i]["key"] for i in range(len(spec))] == keys
 
+    # One pack for the whole grid; each entry is the commit's bytes.
+    assert [path.suffix for path in (root / "cache").iterdir()
+            if path.name != ".lock"] == [".pack"]
     cache = SweepCache(root / "cache")
     for index, key in enumerate(keys):
-        # One pickle per result: the cache file is the commit's bytes.
-        assert (root / "cache" / f"{key}.pkl").read_bytes() == direct[index]
+        assert cache._read(key)[0] == direct[index]
         assert pickle.dumps(cache.get(key), protocol=4) == direct[index]
 
 

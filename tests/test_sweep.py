@@ -269,7 +269,7 @@ class TestCache:
         spec = _spec(trace)
         good = ScenarioRunner(cache=tmp_path).run(spec)
         # Corrupt every cache entry on disk.
-        entries = list(tmp_path.glob("*.pkl"))
+        entries = list(tmp_path.glob("*.pack"))
         assert entries
         for path in entries:
             path.write_bytes(b"not a pickle")
@@ -284,9 +284,47 @@ class TestCache:
     def test_cache_object_roundtrip(self, tmp_path):
         cache = SweepCache(tmp_path)
         assert cache.get("missing") is None
-        cache.put("k", {"x": 1})
+        cache.put({"k": {"x": 1}})
         assert cache.get("k") == {"x": 1}
         assert len(cache) == 1
+
+    def test_a_sweep_writes_one_pack(self, trace, tmp_path):
+        spec = _spec(trace, ambients_c=(20.0, 25.0, 30.0, 35.0),
+                     control_dts=(2.0, 4.0))
+        assert len(spec) == 16
+        out = ScenarioRunner(cache=tmp_path).run(spec)
+        assert out.stats.cells_computed == 16
+        files = [p.name for p in tmp_path.iterdir() if p.name != ".lock"]
+        assert len(files) == 1 and files[0].endswith(".pack"), files
+        assert len(SweepCache(tmp_path)) == 16
+
+    def test_legacy_per_key_files_still_hit(self, trace, tmp_path):
+        spec = _spec(trace)
+        fresh = ScenarioRunner().run(spec)
+        # The one-pickle-per-cell layout: <key>.pkl holding the
+        # protocol-4 result bytes.
+        for key, blob in zip(cell_keys(spec.expand(), code_salt()),
+                             fresh.blobs()):
+            (tmp_path / f"{key}.pkl").write_bytes(blob)
+        warm = ScenarioRunner(cache=tmp_path).run(spec)
+        assert warm.stats.cache_hits == len(spec)
+        assert warm.stats.cells_computed == 0
+        assert _cell_bytes(warm) == _cell_bytes(fresh)
+
+    def test_truncated_pack_is_a_miss_then_rewritten(self, trace, tmp_path):
+        spec = _spec(trace)
+        good = ScenarioRunner(cache=tmp_path).run(spec)
+        (pack,) = tmp_path.glob("*.pack")
+        whole = pack.read_bytes()
+        pack.write_bytes(whole[: len(whole) - 10])  # tear the last entry
+        torn = ScenarioRunner(cache=tmp_path).run(spec)
+        assert torn.stats.cache_hits < len(spec)
+        assert torn.stats.cells_computed == torn.stats.cache_misses
+        assert _cell_bytes(torn) == _cell_bytes(good)
+        (rewritten,) = tmp_path.glob("*.pack")
+        assert rewritten.read_bytes() == whole
+        warm = ScenarioRunner(cache=tmp_path).run(spec)
+        assert warm.stats.cache_hits == len(spec)
 
 
 class TestStats:

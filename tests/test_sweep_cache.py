@@ -1,5 +1,5 @@
 """Tests for FileLock/SweepCache under real multi-process and
-multi-thread contention and torn writes."""
+multi-thread contention, torn writes and pack replacement."""
 
 import multiprocessing
 import os
@@ -12,13 +12,23 @@ from repro.durability.lock import FileLock
 from repro.sim.sweep import SweepCache
 
 
+def _entry_files(directory):
+    """Cache files other than the writer lock."""
+    return sorted(path for path in directory.iterdir()
+                  if path.name != ".lock")
+
+
 # ----------------------------------------------------------------------
 # Multi-process contention: FileLock / SweepCache
 # ----------------------------------------------------------------------
 def _hammer_put(directory, key, worker_id, rounds):
     cache = SweepCache(directory)
     for i in range(rounds):
-        cache.put(key, {"worker": worker_id, "round": i})
+        cache.put({key: {"worker": worker_id, "round": i}})
+
+
+def _put_one(directory, key, value):
+    SweepCache(directory).put({key: value})
 
 
 def _die_holding_lock(lock_path, held_event):
@@ -58,15 +68,63 @@ class TestCacheContention:
 
     def test_torn_write_is_a_miss_not_poison(self, tmp_path):
         cache = SweepCache(tmp_path / "c")
-        cache.put("k", "original")
-        good_bytes = cache._path("k").read_bytes()
+        cache.put({"k": "original"})
+        (pack,) = _entry_files(tmp_path / "c")
+        good_bytes = pack.read_bytes()
         # Simulate a torn write reaching the final path: truncate the
-        # entry mid-pickle.
-        cache._path("k").write_bytes(good_bytes[: len(good_bytes) // 2])
+        # pack mid-pickle.
+        pack.write_bytes(good_bytes[: len(good_bytes) // 2])
         assert cache.get("k") is None  # miss, not an exception
-        assert not cache._path("k").exists()  # torn entry quarantined
-        cache.put("k", "recomputed")
+        assert not pack.exists()  # torn pack quarantined
+        cache.put({"k": "recomputed"})
         assert cache.get("k") == "recomputed"
+
+    def test_torn_pack_index_is_a_miss_for_a_fresh_reader(self, tmp_path):
+        SweepCache(tmp_path / "c").put({"a": 1, "b": 2})
+        (pack,) = _entry_files(tmp_path / "c")
+        pack.write_bytes(pack.read_bytes()[:20])  # inside the index
+        cache = SweepCache(tmp_path / "c")
+        assert cache.get("a") is None
+        assert not pack.exists()
+        assert len(cache) == 0
+
+    def test_pack_replaced_under_a_stale_index_serves_the_new_value(
+            self, tmp_path):
+        reader = SweepCache(tmp_path / "c")
+        writer = SweepCache(tmp_path / "c")
+        writer.put({"a": "old", "b": "short"})
+        assert reader.get("a") == "old"  # indexes the first pack
+        # Same key set, so the same pack name; the entries move.
+        writer.put({"a": "new" * 50, "b": "longer" * 10})
+        assert len(_entry_files(tmp_path / "c")) == 1
+        assert reader.get("b") == "longer" * 10
+        assert reader.get("a") == "new" * 50
+
+    def test_pack_from_another_process_found_on_next_lookup(self, tmp_path):
+        directory = tmp_path / "c"
+        cache = SweepCache(directory)
+        assert cache.get("theirs") is None
+        writer = multiprocessing.Process(
+            target=_put_one, args=(str(directory), "theirs", [1, 2, 3]))
+        writer.start()
+        writer.join(timeout=30.0)
+        assert writer.exitcode == 0
+        assert cache.get("theirs") == [1, 2, 3]
+
+    def test_legacy_pickle_files_are_read_and_counted(self, tmp_path):
+        import pickle
+
+        directory = tmp_path / "c"
+        directory.mkdir()
+        (directory / "old.pkl").write_bytes(pickle.dumps({"x": 1}))
+        (directory / "torn.pkl").write_bytes(b"not a pickle")
+        cache = SweepCache(directory)
+        cache.put({"new": 2, "old": {"x": 1}})
+        assert len(cache) == 3
+        assert cache.get("old") == {"x": 1}
+        assert cache.get("torn") is None
+        assert not (directory / "torn.pkl").exists()
+        assert len(cache) == 2
 
     def test_lock_holder_death_releases_the_lock(self, tmp_path):
         lock_path = tmp_path / "c" / ".lock"
@@ -85,7 +143,7 @@ class TestCacheContention:
         survivor.release()
         # And the cache built on it writes normally.
         cache = SweepCache(tmp_path / "c")
-        cache.put("k", "after-crash")
+        cache.put({"k": "after-crash"})
         assert cache.get("k") == "after-crash"
 
 
@@ -146,7 +204,7 @@ def _hammer_threads(cache, monitor, n_threads, rounds):
         try:
             for i in range(rounds):
                 key = f"t{tid}-{i % 4}"
-                cache.put(key, _Probe((tid, i), monitor))
+                cache.put({key: _Probe((tid, i), monitor)})
                 got = cache.get(key)
                 if got != _Probe((tid, i)):
                     errors.append(AssertionError(f"{key}: read {got!r}"))
