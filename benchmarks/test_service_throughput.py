@@ -12,8 +12,12 @@ tracks the engine rather than HTTP round-trips and status polling;
 ``cells_fleet`` is gated exactly so a grid that silently fell back to
 the scalar path fails the gate, and ``cache_files`` (entries in the
 service's ``cache/`` directory after the job, ``.lock`` aside) is
-gated exactly so the grid's results stay one pack file.  The section pins what the service
-must never regress on:
+gated exactly so the grid's results stay one pack file.  The section
+also records ``journal_bytes``, the size of the served job's
+``run.journal``: its commits point into that pack instead of carrying
+the results, so the journal must stay under a tenth of the served
+result bytes.  The section pins what the service must never regress
+on:
 
 * exactly-once accounting -- ``failed_cells`` and ``double_commits``
   are exact-zero gated fields, audited from the job's run journal;
@@ -124,14 +128,17 @@ def _measure(tmp_path):
         service.close()
 
     journal = root / "jobs" / job_id / "run.journal"
+    journal_bytes = journal.stat().st_size
     return (spec, serial, serial_wall, served, service_wall,
-            submit_latency, status, deduped, journal, cache_files)
+            submit_latency, status, deduped, journal, cache_files,
+            journal_bytes)
 
 
 def test_service_throughput(benchmark, tmp_path, monkeypatch):
     monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
     (spec, serial, serial_wall, served, service_wall, submit_latency,
-     status, deduped, journal, cache_files) = benchmark.pedantic(
+     status, deduped, journal, cache_files,
+     journal_bytes) = benchmark.pedantic(
         lambda: _measure(tmp_path), rounds=1, iterations=1)
 
     # Exactly-once audit straight from the durable record.
@@ -164,6 +171,7 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
         "failed_cells": failed_cells,
         "double_commits": double_commits,
         "cache_files": cache_files,
+        "journal_bytes": journal_bytes,
         "steps_per_sec": service_rate,
         "serial_steps_per_sec": serial_rate,
         "serial_wall_s": serial_wall,
@@ -188,3 +196,6 @@ def test_service_throughput(benchmark, tmp_path, monkeypatch):
     assert failed_cells == 0, section
     assert deduped == 1, section
     assert cache_files == 1, section
+    # One durable copy of each result: the commits only point at it.
+    served_bytes = sum(map(len, served))
+    assert journal_bytes < served_bytes / 10, (journal_bytes, served_bytes)

@@ -24,6 +24,7 @@ durability layer::
 
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -84,14 +85,14 @@ def child_main(journal_path: str) -> None:
                    checkpoint_every_steps=25).run(build_spec())
 
 
-def main() -> int:
+def _drill(work: Path) -> int:
     total = len(build_spec())
     target_commits = max(1, total // 2)
 
     print(f"[resume-smoke] reference run ({total} cells)...")
     reference = ScenarioRunner().run(build_spec())
 
-    journal = Path(tempfile.mkdtemp(prefix="resume-smoke-")) / "sweep.journal"
+    journal = work / "sweep.journal"
     print(f"[resume-smoke] journalled child -> {journal}")
     child = subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
                               "--child", str(journal)],
@@ -140,6 +141,21 @@ def main() -> int:
               f"journal, {total - committed} computed, all "
               f"{total} byte-identical to the uninterrupted run")
     return 0 if ok else 1
+
+
+def main() -> int:
+    """Run the drill in a fresh temp directory: removed on success,
+    kept (and its path printed) on failure."""
+    work = Path(tempfile.mkdtemp(prefix="resume-smoke-"))
+    status = 1
+    try:
+        status = _drill(work)
+    finally:
+        if status == 0:
+            shutil.rmtree(work, ignore_errors=True)
+        else:
+            print(f"[resume-smoke] kept {work} for inspection")
+    return status
 
 
 if __name__ == "__main__":

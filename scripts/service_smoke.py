@@ -32,6 +32,7 @@ import base64
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -121,9 +122,9 @@ def _wait_for_done(base: str, job_id: str,
                        f"(last: {status})")
 
 
-def main() -> int:
+def _drill(work: Path) -> int:
     total = len(CAPACITIES)
-    root = Path(tempfile.mkdtemp(prefix="service-smoke-")) / "state"
+    root = work / "state"
 
     print(f"[service-smoke] booting server one (root {root})...")
     first = _spawn(root)
@@ -211,6 +212,21 @@ def main() -> int:
               f"{total} committed exactly once and byte-identical to "
               f"the direct run")
     return 0 if ok else 1
+
+
+def main() -> int:
+    """Run the drill in a fresh temp directory: removed on success,
+    kept (and its path printed) on failure."""
+    work = Path(tempfile.mkdtemp(prefix="service-smoke-"))
+    status = 1
+    try:
+        status = _drill(work)
+    finally:
+        if status == 0:
+            shutil.rmtree(work, ignore_errors=True)
+        else:
+            print(f"[service-smoke] kept {work} for inspection")
+    return status
 
 
 if __name__ == "__main__":

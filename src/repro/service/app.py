@@ -38,7 +38,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from ..obs.export import registry_snapshot
 from ..obs.registry import MetricsRegistry
@@ -54,6 +54,13 @@ DEFAULT_MAX_BODY = 8 << 20
 #: predates the service and stays: it is a deployment credential, and
 #: renaming it would silently turn auth off on existing deployments.
 SECRET_ENV = "CAPMAN_DIST_SECRET"
+
+#: Largest write of a ``GET /jobs/{id}/results`` body.
+RESULTS_CHUNK = 256 << 10
+
+#: Raw bytes whose base64 text fills one chunk.  A multiple of 3, so
+#: encoding a blob slice by slice gives its whole encoding's bytes.
+_RAW_SLICE = RESULTS_CHUNK // 4 * 3
 
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{32})(?:/(results|events))?$")
 
@@ -108,19 +115,57 @@ class ServiceMetrics:
             return registry_snapshot(self.registry, spans=self._spans)
 
 
-def results_body(job_id: str, blobs: List[bytes]) -> bytes:
-    """The ``GET /jobs/{id}/results`` body.
+def _results_frame(job_id: str, count: int) -> Tuple[bytes, bytes, bytes]:
+    """The bytes before, between and after a results body's cells."""
+    tail = f', "count": {count}, "job_id": {json.dumps(job_id)}}}'.encode(
+        "ascii")
+    if not count:
+        return b'{"cells": [', b"", b"]" + tail
+    return b'{"cells": ["', b'", "', b'"]' + tail
 
-    Byte for byte ``json.dumps({"job_id": ..., "count": ..., "cells":
-    [base64, ...]}, sort_keys=True)``, joined directly: base64 text
-    needs no JSON escaping, so encoding a 96-cell body skips a walk
-    over megabytes of string.
+
+def results_length(job_id: str, sizes: Sequence[int]) -> int:
+    """Byte length of the results body for blobs of ``sizes`` bytes:
+    each encodes to ``4 * ceil(n / 3)`` base64 bytes."""
+    head, sep, tail = _results_frame(job_id, len(sizes))
+    return (len(head) + len(sep) * max(len(sizes) - 1, 0) + len(tail)
+            + sum(4 * -(-size // 3) for size in sizes))
+
+
+def results_chunks(job_id: str, blobs: Sequence[bytes]) -> Iterator[bytes]:
+    """The ``GET /jobs/{id}/results`` body in pieces of at most
+    :data:`RESULTS_CHUNK` bytes.
+
+    Joined, byte for byte ``json.dumps({"job_id": ..., "count": ...,
+    "cells": [base64, ...]}, sort_keys=True)``: base64 text needs no
+    JSON escaping, so the body is framed directly, and each blob is
+    encoded a slice at a time, never whole.
     """
-    cells = '", "'.join(base64.b64encode(blob).decode("ascii")
-                        for blob in blobs)
-    return (('{"cells": ["' + cells + '"]' if blobs else '{"cells": []')
-            + f', "count": {len(blobs)}, "job_id": {json.dumps(job_id)}}}'
-            ).encode("ascii")
+    head, sep, tail = _results_frame(job_id, len(blobs))
+
+    def parts() -> Iterator[bytes]:
+        yield head
+        for index, blob in enumerate(blobs):
+            if index:
+                yield sep
+            view = memoryview(blob)
+            for start in range(0, len(view), _RAW_SLICE):
+                yield base64.b64encode(view[start:start + _RAW_SLICE])
+        yield tail
+
+    chunk = bytearray()
+    for part in parts():
+        if len(chunk) + len(part) > RESULTS_CHUNK:
+            yield bytes(chunk)
+            chunk.clear()
+        chunk += part
+    yield bytes(chunk)
+
+
+def results_body(job_id: str, blobs: Sequence[bytes]) -> bytes:
+    """The whole ``GET /jobs/{id}/results`` body (see
+    :func:`results_chunks`)."""
+    return b"".join(results_chunks(job_id, blobs))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -257,8 +302,17 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _results(self, job_id: str) -> int:
+        """Stream the body in bounded chunks behind its exact length;
+        every read (and so every error) happens before the headers."""
         blobs = self.service.store.result_blobs(job_id)
-        return self._send(200, results_body(job_id, blobs))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length",
+                         str(results_length(job_id, [len(b) for b in blobs])))
+        self.end_headers()
+        for chunk in results_chunks(job_id, blobs):
+            self.wfile.write(chunk)
+        return 200
 
     def _events(self, job_id: str) -> int:
         """NDJSON progress stream: one status snapshot per line until

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..durability.journal import RunJournal, decode_blob, encode_blob
+from ..durability.journal import (JournalError, RunJournal, decode_blob,
+                                  encode_blob)
 from ..obs.tracer import Tracer
 # ``cell_key`` is imported for the per-layer tracer in benchmarks/perf,
 # which wraps it here; identities hash through the batched ``cell_keys``.
@@ -89,24 +90,30 @@ def _take_hashed(spec: SweepSpec, salt: str) -> Optional[List[str]]:
 
 @dataclass
 class Job:
-    """One submitted grid and everything known about its execution."""
+    """One submitted grid and everything known about its execution.
+
+    A finished job holds no result bytes, spec or runner: its results
+    are read from the cache by cell key, and its status is the
+    progress snapshot taken when it finished.
+    """
 
     job_id: str
-    spec: SweepSpec
+    #: The grid, until the job finishes (None afterwards, and for a
+    #: job recovered as finished).
+    spec: Optional[SweepSpec]
     state: str = QUEUED
     error: Optional[str] = None
     n_cells: int = 0
     submitted_monotonic: float = 0.0
     #: Live runner while executing (its progress() feeds pollers).
     runner: Optional[ScenarioRunner] = field(default=None, repr=False)
-    #: Cell keys hashed on submit, in spec order, until the sweep runs.
+    #: Cell keys in spec order: hashed on submit, or read back from the
+    #: run journal when a recovered job's results are first asked for.
     keys: Optional[List[str]] = field(default=None, repr=False)
-    #: Per-cell outcome pickles (protocol 4) of a finished job -- the
-    #: bytes its journal commits carry, a small fraction of the
-    #: decoded results' memory.
-    blobs: Optional[List[bytes]] = field(default=None, repr=False)
-    #: Stats dict frozen at completion (survives in-memory only; a
-    #: recovered done job rebuilds it when results are materialised).
+    #: The runner's progress snapshot, taken when the job finished.
+    progress: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: Stats dict frozen at completion (in memory only: a job recovered
+    #: as finished has none).
     stats: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
 
@@ -147,21 +154,29 @@ class JobStore:
         if not path.exists() or path.stat().st_size == 0:
             return
         records = RunJournal.replay_typed(path, ("job_submit", "job_done"))
+        submits: Dict[str, Dict[str, Any]] = {}
         for record in records:
             data = record["data"]
             if record["type"] == "job_submit":
-                spec: SweepSpec = pickle.loads(decode_blob(data["spec"]))
+                submits[data["job_id"]] = data
                 self._jobs[data["job_id"]] = Job(
-                    job_id=data["job_id"], spec=spec,
-                    n_cells=data.get("n_cells", len(spec)),
+                    job_id=data["job_id"], spec=None,
+                    n_cells=data.get("n_cells", 0),
                     submitted_monotonic=time.monotonic())
             else:
                 job = self._jobs.get(data["job_id"])
                 if job is not None:
                     job.state = DONE if data.get("ok") else FAILED
                     job.error = data.get("error")
+        # Only unfinished jobs keep their spec: they run again.
         for job in self._jobs.values():
-            if job.state in (QUEUED, RUNNING):
+            data = submits[job.job_id]
+            unfinished = job.state in (QUEUED, RUNNING)
+            if unfinished or "n_cells" not in data:
+                spec = pickle.loads(decode_blob(data["spec"]))
+                job.n_cells = data.get("n_cells", len(spec))
+            if unfinished:
+                job.spec = spec
                 job.state = QUEUED
                 self._queue.put(job.job_id)
                 self._count("jobs.recovered")
@@ -215,9 +230,12 @@ class JobStore:
         }
         if job.error is not None:
             out["error"] = job.error
+        # A finishing job stores its snapshot before it drops its runner.
         runner = job.runner
         if runner is not None:
             out["progress"] = runner.progress().as_dict()
+        elif job.progress is not None:
+            out["progress"] = job.progress
         if job.stats is not None:
             out["stats"] = job.stats
         return out
@@ -239,27 +257,40 @@ class JobStore:
 
         Pickle protocol 4 -- byte-identical to pickling the outcome of
         a direct :class:`ScenarioRunner` run of the same grid, which is
-        exactly what the end-to-end tests assert.
+        exactly what the end-to-end tests assert.  Each cell's bytes
+        are read from the cache by its key -- the pack its journal
+        commit points into, or the entry it was served from -- so a
+        finished job holds none.  A result that cannot be read is a
+        500 ``results_unreadable``.
         """
         job = self.get(job_id)
         if job.state != DONE:
             raise ApiError(409, "job_not_done",
                            f"job {job_id} is {job.state}")
-        return self._materialise(job)
+        try:
+            keys = job.keys
+            if keys is None:
+                keys = job.keys = self._journal_keys(job)
+            blobs = [self.cache.entry(key) for key in keys]
+        except (JournalError, OSError) as exc:
+            raise ApiError(500, "results_unreadable",
+                           f"job {job_id}: {exc}") from exc
+        if None in blobs:
+            raise ApiError(500, "results_unreadable",
+                           f"job {job_id}: cell {blobs.index(None)}'s "
+                           f"result is not in the cache")
+        return blobs  # type: ignore[return-value]
 
-    def _materialise(self, job: Job) -> List[bytes]:
-        """The job's result pickles, read back from its run journal if
-        the store restarted since the job finished (every cell replays
-        as committed -- nothing recomputes)."""
-        if job.blobs is not None:
-            return job.blobs
-        result = self._build_runner(job).resume()
-        blobs = result.blobs()
-        with self._lock:
-            if job.blobs is None:
-                job.blobs = blobs
-                job.stats = result.stats.as_dict()
-        return job.blobs
+    def _journal_keys(self, job: Job) -> List[str]:
+        """A recovered job's cell keys, from its run journal's header:
+        the spec and salt the sweep ran under (no cell runs)."""
+        path = self.root / "jobs" / job.job_id / "run.journal"
+        records = RunJournal.replay(path, recover=False)
+        if not records or records[0]["type"] != "sweep_start":
+            raise JournalError(f"{path} has no sweep_start record")
+        head = records[0]["data"]
+        spec: SweepSpec = pickle.loads(decode_blob(head["spec"]))
+        return cell_keys(spec.expand(), head["salt"])
 
     # ------------------------------------------------------------------
     # Execution
@@ -299,25 +330,24 @@ class JobStore:
                             cells=job.n_cells)
         started = time.monotonic()
         try:
-            result = runner.run_or_resume(job.spec)
+            result, error = runner.run_or_resume(job.spec), None
         except Exception as exc:  # infrastructure failure, not a cell
-            span.finish()
-            self._merge_spans(tracer.window(mark))
-            self._finish(job, ok=False,
-                         error=f"{type(exc).__name__}: {exc}")
-            return
+            result, error = None, f"{type(exc).__name__}: {exc}"
         span.finish()
         self._merge_spans(tracer.window(mark))
+        # A finished job keeps neither its results nor their bytes:
+        # GET /results reads the bytes from the cache by cell key.
+        with self._lock:
+            job.progress = runner.progress().as_dict()
+            job.runner = None
+            job.spec = None
+            if result is not None:
+                job.stats = result.stats.as_dict()
+        if result is None:
+            self._finish(job, ok=False, error=error)
+            return
         self._observe("job.exec_s", time.monotonic() - started)
         failures = result.failures
-        # A finished job keeps its result pickles, not the decoded
-        # results: GET /results serves bytes, and the bytes are a
-        # small fraction of the object graph's memory.
-        blobs = None if failures else result.blobs()
-        with self._lock:
-            job.keys = None
-            job.blobs = blobs
-            job.stats = result.stats.as_dict()
         if failures:
             self._finish(job, ok=False,
                          error=f"{len(failures)} of {job.n_cells} cells "

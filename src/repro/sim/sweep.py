@@ -22,10 +22,11 @@ that implicit pattern into an explicit engine:
   always completes, and failed cells are never cached;
 * an optional write-ahead run journal
   (:class:`~repro.durability.journal.RunJournal`) makes the sweep
-  itself crash-durable: every cell start and every committed result is
-  an fsync'd record, long cells checkpoint mid-flight into sidecar
-  files, and :meth:`ScenarioRunner.resume` continues a SIGKILL'd sweep
-  without recomputing a single committed cell.
+  itself crash-durable: every cell start is an fsync'd record, every
+  committed result an fsync'd record pointing into an fsync'd pack,
+  long cells checkpoint mid-flight into sidecar files, and
+  :meth:`ScenarioRunner.resume` continues a SIGKILL'd sweep without
+  recomputing a single committed cell.
 
 Every scenario cell is pure: it builds its own policy copy, pack and
 phone, so cells never share mutable state.  That is what makes the
@@ -37,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import itertools
 import logging
 import os
 import pickle
@@ -46,8 +48,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (AbstractSet, Any, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Union)
 
 import numpy as np
 
@@ -355,6 +357,39 @@ def _pack_parts(keys: Sequence[str], blobs: Sequence[bytes]
     return [head, *records, *raw, *blobs], spots
 
 
+def _write_pack(directory: str, keys: Sequence[str], blobs: Sequence[bytes]
+                ) -> Tuple[str, FileIdentity, Dict[str, Tuple[int, int]]]:
+    """Write ``keys``' entries as one durable pack in ``directory``.
+
+    Temp file, fsync, rename, then an fsync of the directory: once this
+    returns, the pack survives a crash under its name, so a journal
+    record may point into it.  ``keys`` must be sorted.  Returns the
+    pack's file name, its identity and each key's ``(offset, length)``.
+    """
+    name = _pack_name(keys)
+    parts, spots = _pack_parts(keys, blobs)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(parts)
+            fh.flush()
+            os.fsync(fh.fileno())
+            ident = _identity(os.fstat(fh.fileno()))
+        os.replace(tmp, os.path.join(directory, name))
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+    return name, ident, dict(zip(keys, spots))
+
+
 def _read_index(fd: int, size: int) -> Optional[Dict[str, Tuple[int, int]]]:
     """Parse an open pack's index: key -> ``(offset, length)``.
 
@@ -393,13 +428,17 @@ class SweepCache:
     ``(key, offset, length)`` records, then each entry's protocol-4
     pickle.  The name is a digest of the sorted key set, so rewriting
     the same keys replaces the pack (the last writer wins).  Writes go
-    to a temp file renamed into place while holding an advisory
+    to a temp file, fsync'd and renamed into place (then the directory
+    is fsync'd) while holding an advisory
     :class:`~repro.durability.lock.FileLock` on the adjacent ``.lock``
     file, so concurrent runners serialise their writes (the kernel
     releases the lock if a holder dies, so a crashed runner can never
-    wedge the cache).
+    wedge the cache).  A written pack is durable, so run-journal
+    commits point into it rather than carry their own copy: a cache
+    directory that live journals reference must not be pruned.
 
-    :meth:`get` reads only its entry's bytes, located through an
+    :meth:`get` (and :meth:`entry`, which skips the unpickling) reads
+    only its entry's bytes, located through an
     in-memory index shared by the threads using this instance.  A key
     the index lacks triggers one directory listing -- skipped while the
     directory is unchanged since the last trusted one -- which picks up
@@ -444,37 +483,33 @@ class SweepCache:
             self._discard(name, ident)
             return None
 
-    def put(self, entries: Mapping[str, Union[CellResult, bytes]]) -> None:
-        """Store ``entries`` as one pack (temp file + rename, locked).
+    def entry(self, key: str) -> Optional[bytes]:
+        """The cached result's pickle bytes, or None on a miss."""
+        found = self._read(key)
+        return None if found is None else found[0]
+
+    def put(self, entries: Mapping[str, Union[CellResult, bytes]]
+            ) -> Dict[str, Tuple[Path, int, int]]:
+        """Store ``entries`` as one durable pack; returns each key's
+        ``(pack path, offset, length)``.
 
         ``bytes`` values are taken as the result already pickled: the
-        runner pickles each computed outcome once and writes those same
-        bytes to its journal and here.  Other values are pickled
-        (protocol 4) while the lock is held.
+        runner pickles each computed outcome once and commits those
+        bytes here.  Other values are pickled (protocol 4) while the
+        lock is held.
         """
         keys = sorted(entries)
         if not keys:
-            return
-        name = _pack_name(keys)
+            return {}
         with self.lock:
             blobs = [value if isinstance(value, bytes)
                      else pickle.dumps(value, protocol=4)
                      for value in map(entries.__getitem__, keys)]
-            parts, spots = _pack_parts(keys, blobs)
-            fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.writelines(parts)
-                    fh.flush()
-                    ident = _identity(os.fstat(fh.fileno()))
-                os.replace(tmp, os.path.join(self._dir, name))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        self._note(name, ident, dict(zip(keys, spots)))
+            name, ident, spots = _write_pack(self._dir, keys, blobs)
+        self._note(name, ident, spots)
+        path = self.directory / name
+        return {key: (path, offset, length)
+                for key, (offset, length) in spots.items()}
 
     def __len__(self) -> int:
         """Distinct keys across readable packs and legacy files."""
@@ -720,25 +755,9 @@ class SweepResult:
     #: results -- excluded from equality.
     telemetry: Optional[obs.RunTelemetry] = field(
         default=None, repr=False, compare=False)
-    #: Protocol-4 pickles the runner already made for its journal or
-    #: cache, by cell index; :meth:`blobs` reuses them.
-    _pickled: Dict[int, bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self) -> Iterator[Tuple[ScenarioCell, CellOutcome]]:
         return iter(zip(self.cells, self.results))
-
-    def blobs(self) -> List[bytes]:
-        """Each slot's outcome pickled with protocol 4, in spec order.
-
-        A slot the runner already pickled (a journal commit, a cache
-        write, a journal resume) reuses those bytes; the rest are
-        pickled here.  Either way the bytes are ``pickle.dumps(outcome,
-        protocol=4)``.
-        """
-        pickled = self._pickled
-        return [pickled.get(index) or pickle.dumps(outcome, protocol=4)
-                for index, outcome in enumerate(self.results)]
 
     @property
     def failures(self) -> List[Tuple[ScenarioCell, CellFailure]]:
@@ -841,6 +860,35 @@ def _run_fleet_batch(
             for cell, result in zip(cells, results)]
 
 
+def _committed_entry(base: Path, data: Mapping[str, Any]) -> bytes:
+    """The result bytes a ``cell_commit`` record points at.
+
+    ``data["pack"]`` is relative to ``base``, the journal's directory.
+    A missing pack, a short read or a digest mismatch raises
+    :class:`JournalError` naming the pack and the cell: recomputing
+    would commit the cell a second time.
+    """
+    pack = base / data["pack"]
+    index, length = data["index"], data["length"]
+    try:
+        with open(pack, "rb") as fh:
+            fh.seek(data["offset"])
+            blob = fh.read(length)
+    except OSError as exc:
+        raise JournalError(
+            f"cell {index}: cannot read its committed result from "
+            f"{pack}: {exc}") from exc
+    if len(blob) != length:
+        raise JournalError(
+            f"cell {index}: {pack} holds {len(blob)} of the {length} "
+            f"bytes of its committed result")
+    if hashlib.sha256(blob).hexdigest() != data["sha256"]:
+        raise JournalError(
+            f"cell {index}: the committed result in {pack} does not "
+            f"match its sha256")
+    return blob
+
+
 class ScenarioRunner:
     """Executes a :class:`SweepSpec` with optional caching.
 
@@ -863,8 +911,11 @@ class ScenarioRunner:
         (fsync'd before it goes on; records that land together share
         one fsync), and :meth:`resume` can continue the sweep
         after a crash/SIGKILL without recomputing committed cells.
-        In-flight cells checkpoint into sidecar files under
-        ``<journal>.d/`` and restart from their last checkpoint.
+        A commit record points at its result's bytes in a pack written
+        (and fsync'd) just before it: the cache's pack, or, without a
+        cache or for results carrying obs telemetry, a pack under
+        ``<journal>.d/``.  In-flight cells checkpoint into sidecar
+        files in that directory and restart from their last checkpoint.
     checkpoint_every_steps:
         Sidecar-checkpoint cadence, in control steps, for journalled
         cells (0 disables in-cell checkpoints; commit-level durability
@@ -971,13 +1022,15 @@ class ScenarioRunner:
                 f"delete the journal to start over")
         salt = self._salt if self._salt is not None else code_salt()
         with RunJournal(self.journal) as journal:
-            journal.append("sweep_start", {
+            # Written with the cell starts, in one fsync.
+            head = ("sweep_start", {
                 "spec": encode_blob(pickle.dumps(spec, protocol=4)),
                 "salt": salt,
                 "n_cells": len(spec),
                 "kind": spec.kind,
             })
-            return self._run(spec, journal=journal, committed={}, salt=salt)
+            return self._run(spec, journal=journal, committed={}, salt=salt,
+                             head=head)
 
     def resume(self, journal: Union[str, Path, None] = None) -> SweepResult:
         """Continue a journalled sweep after a crash or kill.
@@ -985,10 +1038,15 @@ class ScenarioRunner:
         Replays the journal (recovering any torn tail by truncation),
         reconstructs the spec and key salt from the ``sweep_start``
         header, fills every committed cell's result slot straight from
-        its commit record -- byte-identical, never recomputed -- and
-        runs only the remainder.  Half-done cells restart from their
+        the bytes its commit record points at (checked against the
+        record's sha256) -- byte-identical, never recomputed -- and
+        runs only the remainder.  A cell the journal started but did
+        not commit is recomputed, never taken from the cache, so it
+        still gets its one commit.  Half-done cells restart from their
         sidecar checkpoints.  The journal keeps extending, so resume
-        is itself resumable.
+        is itself resumable.  Commits that carry their result inline
+        (base64 ``result``), as journals written before commits
+        pointed into packs do, still replay.
         """
         path = Path(journal) if journal is not None else self.journal
         if path is None:
@@ -1003,15 +1061,21 @@ class ScenarioRunner:
         head = records[0]["data"]
         spec: SweepSpec = pickle.loads(decode_blob(head["spec"]))
         committed: Dict[int, bytes] = {}
+        started: Set[int] = set()
         for record in records[1:]:
-            # Other record types (``cell_start``, and the dispatch
-            # records older journals carry) hold nothing to restore.
-            if record["type"] == "cell_commit":
-                data = record["data"]
-                committed[data["index"]] = decode_blob(data["result"])
+            # Other record types (the dispatch records older journals
+            # carry) hold nothing to restore.
+            data = record["data"]
+            if record["type"] == "cell_start":
+                started.add(data["index"])
+            elif record["type"] == "cell_commit":
+                committed[data["index"]] = (
+                    decode_blob(data["result"]) if "result" in data
+                    else _committed_entry(path.parent, data))
         with RunJournal(path) as live:
             return self._run(spec, journal=live, committed=committed,
-                             salt=head["salt"])
+                             salt=head["salt"],
+                             uncached=started.difference(committed))
 
     def run_or_resume(self, spec: SweepSpec) -> SweepResult:
         """Run ``spec``, or resume the runner's journal if it has records.
@@ -1072,9 +1136,14 @@ class ScenarioRunner:
 
     def _run(self, spec: SweepSpec, journal: Optional[RunJournal],
              committed: Dict[int, bytes],
-             salt: Optional[str]) -> SweepResult:
+             salt: Optional[str],
+             head: Optional[Tuple[str, Dict[str, Any]]] = None,
+             uncached: AbstractSet[int] = frozenset()) -> SweepResult:
         """Run ``spec``; ``committed`` maps the journal's committed cell
-        indices to their recorded result pickles."""
+        indices to their recorded result pickles.  ``head`` is the
+        journal header a fresh run writes with its cell starts;
+        ``uncached`` are cells that skip the cache lookup (started in
+        the journal, never committed)."""
         run_started = time.perf_counter()
         stats = SimStats()
 
@@ -1111,9 +1180,8 @@ class ScenarioRunner:
             stats.expand_wall_s = time.perf_counter() - expand_started
 
             results: List[Optional[CellResult]] = [None] * len(cells)
-            # Each outcome is pickled (protocol 4) at most once: the
-            # journal commit, the cache entry and SweepResult.blobs()
-            # share these bytes.
+            # Each outcome is pickled (protocol 4) at most once: its
+            # commit's pack entry and its cache entry share these bytes.
             pickled: Dict[int, bytes] = {}
 
             def pickle_of(index: int, outcome: CellOutcome) -> bytes:
@@ -1129,8 +1197,8 @@ class ScenarioRunner:
                     # Journalled and durable: the recorded result is the
                     # result -- recomputing it is exactly what the
                     # write-ahead log exists to prevent.
-                    blob = pickled[cell.index] = committed[cell.index]
-                    result = results[cell.index] = pickle.loads(blob)
+                    result = results[cell.index] = pickle.loads(
+                        committed[cell.index])
                     stats.cells_resumed += 1
                     self._set_state(cell.index, "resumed")
                     if observing:
@@ -1138,7 +1206,7 @@ class ScenarioRunner:
                         if telemetry_blob is not None:
                             resumed_blobs.append(telemetry_blob)
                     continue
-                if self.cache is not None:
+                if self.cache is not None and cell.index not in uncached:
                     hit = self.cache.get(keys[cell.index])  # type: ignore[arg-type]
                     if hit is not None:
                         results[cell.index] = hit
@@ -1154,27 +1222,64 @@ class ScenarioRunner:
             # Cells continuing from a sidecar: the scalar engine resumes
             # them mid-cycle, so they never join a fleet batch.
             resumable: Set[int] = set()
-            if journal is not None and pending:
+            if journal is not None:
                 sidecar_dir = Path(str(journal.path) + ".d")
+                journal_dir = journal.path.parent
                 for cell in pending:
                     sidecar = sidecar_dir / f"cell-{keys[cell.index][:16]}.ckpt"  # type: ignore[index]
                     ckpts[cell.index] = str(sidecar)
                     if sidecar.exists():
                         stats.cells_checkpoint_resumed += 1
                         resumable.add(cell.index)
-                journal.append_many(
-                    ("cell_start", {"index": cell.index,
-                                    "key": keys[cell.index],
-                                    "label": cell.label})
-                    for cell in pending)
+                journal.append_many(itertools.chain(
+                    [head] if head is not None else [],
+                    (("cell_start", {"index": cell.index,
+                                     "key": keys[cell.index],
+                                     "label": cell.label})
+                     for cell in pending)))
+            #: Computed cells whose commit already put them in the cache.
+            packed: Set[int] = set()
+
+            def _pack(commits: Sequence[Tuple[int, CellOutcome]]
+                      ) -> Tuple[Path, Dict[int, Tuple[int, int]]]:
+                """Write a commit group's pickles as one durable pack;
+                its path and each cell's ``(offset, length)`` in it.
+
+                The pack goes to the cache unless a result carries obs
+                telemetry (a cache entry's bytes are a pure function of
+                its key) or there is no cache; then it goes to
+                ``<journal>.d/``, keyed by cell index.
+                """
+                blobs = {index: pickle_of(index, outcome)
+                         for index, outcome in commits}
+                if self.cache is not None and all(
+                        getattr(outcome, "telemetry", None) is None
+                        for _, outcome in commits):
+                    started = time.perf_counter()
+                    placed = self.cache.put({keys[index]: blob  # type: ignore[misc]
+                                             for index, blob in blobs.items()})
+                    stats.cache_wall_s += time.perf_counter() - started
+                    packed.update(blobs)
+                    path = placed[keys[commits[0][0]]][0]  # type: ignore[index]
+                    return path, {index: placed[keys[index]][1:]  # type: ignore[index]
+                                  for index in blobs}
+                sidecar_dir.mkdir(parents=True, exist_ok=True)
+                names = sorted(map(str, blobs))
+                name, _, spots = _write_pack(
+                    str(sidecar_dir), names,
+                    [blobs[int(index)] for index in names])
+                return sidecar_dir / name, {int(index): spot
+                                            for index, spot in spots.items()}
 
             def _finalise(items: Sequence[Tuple[int, CellOutcome]]) -> None:
                 """Durably commit final outcomes that land together.
 
-                The commits go to the journal as one group.  Failures
-                are deliberately not committed -- a resume retries them
-                -- and a committed cell's sidecar checkpoint is deleted:
-                the commit record supersedes it.
+                The group's pickles go to one pack first; its commit
+                records, which point into the pack, then go to the
+                journal in one append.  Failures are deliberately not
+                committed -- a resume retries them -- and a committed
+                cell's sidecar checkpoint is deleted: the commit record
+                supersedes it.
                 """
                 commits: List[Tuple[int, CellOutcome]] = []
                 for index, outcome in items:
@@ -1184,11 +1289,17 @@ class ScenarioRunner:
                         commits.append((index, outcome))
                 if not commits:
                     return
+                path, spots = _pack(commits)
+                pack = os.path.relpath(path, journal_dir)
                 journal.append_many(
                     ("cell_commit", {
                         "index": index,
                         "key": keys[index],
-                        "result": encode_blob(pickle_of(index, outcome)),
+                        "pack": pack,
+                        "offset": spots[index][0],
+                        "length": spots[index][1],
+                        "sha256": hashlib.sha256(
+                            pickle_of(index, outcome)).hexdigest(),
                     })
                     for index, outcome in commits)
                 for index, _ in commits:
@@ -1243,11 +1354,12 @@ class ScenarioRunner:
                 stats.cells_computed += 1
                 if isinstance(result, CellFailure):
                     stats.cells_failed += 1
-            if self.cache is not None and computed:
+            if self.cache is not None and len(packed) < len(computed):
                 cache_started = time.perf_counter()
                 entries: Dict[str, Union[CellResult, bytes]] = {}
                 for index, result, _, _ in computed:
-                    if not isinstance(result, CellFailure):
+                    if (not isinstance(result, CellFailure)
+                            and index not in packed):
                         # Telemetry is run-local observability, not
                         # simulated outcome: cache entries are stored
                         # without it so a later (possibly obs-off) run
@@ -1258,7 +1370,9 @@ class ScenarioRunner:
                         else:
                             entry = pickle_of(index, result)
                         entries[keys[index]] = entry  # type: ignore[index]
-                # One pack per run: a served grid writes one file.
+                # One pack per run for what the commits did not pack:
+                # everything when unjournalled, else the results that
+                # carry telemetry.
                 self.cache.put(entries)
                 stats.cache_wall_s += time.perf_counter() - cache_started
 
@@ -1280,8 +1394,6 @@ class ScenarioRunner:
                     telemetry = telemetry.merge(blob)
                 scope.close()
                 ob.export_telemetry(telemetry)
-        swept = SweepResult(cells=cells, results=list(results),  # type: ignore[arg-type]
-                            stats=stats, telemetry=telemetry)
-        swept._pickled = pickled
-        return swept
+        return SweepResult(cells=cells, results=list(results),  # type: ignore[arg-type]
+                           stats=stats, telemetry=telemetry)
 

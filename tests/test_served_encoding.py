@@ -1,14 +1,14 @@
-"""A served grid's results are encoded once and held as bytes.
+"""A served grid's results are encoded once and stored once, on disk.
 
 The service pickles each computed outcome once (protocol 4) when it
-commits; the run journal's ``cell_commit`` record, the result cache
-entry and the ``GET /results`` body all carry those bytes, and a
-finished job holds them instead of the decoded results.  The journal
-JSON-encodes each record once, the results body is joined rather than
-dumped, and a job's cell keys are hashed once, on submit.  These tests
-pin every one of those encodings to the bytes the straightforward
-formulas give, and the memory a finished job keeps to the size of its
-pickles.
+commits; those bytes go to one cache pack, the run journal's
+``cell_commit`` record points at them, and ``GET /results`` reads them
+back from the cache and streams them in bounded chunks.  A finished
+job holds no result bytes.  The journal JSON-encodes each record once,
+the results body is framed rather than dumped, and a job's cell keys
+are hashed once, on submit.  These tests pin every one of those
+encodings to the bytes the straightforward formulas give, and the
+memory a finished job keeps to a small fraction of its pickles.
 """
 
 from __future__ import annotations
@@ -18,19 +18,21 @@ import gc
 import hashlib
 import json
 import pickle
+import socket
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.durability.journal import RunJournal, decode_blob
+from repro.durability.journal import RunJournal
 from repro.service import CapmanService, parse_spec
 from repro.service import jobs as jobs_module
-from repro.service.app import results_body
+from repro.service.app import (_RAW_SLICE, RESULTS_CHUNK, results_body,
+                               results_chunks, results_length)
 from repro.service.jobs import DONE, FAILED, JobStore, job_id_for
 from repro.sim import sweep as sweep_module
 from repro.sim.sweep import (FLEET_MIN_ROWS, ScenarioRunner, SweepCache,
@@ -111,19 +113,57 @@ def test_journal_lines_equal_the_whole_record_dump(groups):
 
 
 # ----------------------------------------------------------------------
-# GET /results body: joined, the old bytes
+# GET /results body: chunked, the old bytes
 # ----------------------------------------------------------------------
+def _sized(n):
+    """``n`` cheap, non-constant bytes."""
+    return (bytes(range(251)) * (n // 251 + 1))[:n]
+
+
+#: Blobs whose base64 spans one to three slices (and chunk boundaries).
+_large = st.integers(_RAW_SLICE - 4, 2 * _RAW_SLICE + 4).map(_sized)
+_ID = "0123456789abcdef" * 2
+
+
 @settings(max_examples=150, deadline=None)
-@given(blobs=st.lists(st.binary(max_size=64), max_size=8),
+@given(blobs=st.lists(st.binary(max_size=64) | _large, max_size=6),
        job_id=st.text(alphabet="0123456789abcdef", min_size=32,
                       max_size=32))
+@example(blobs=[], job_id=_ID)
+@example(blobs=[b"", b"a", b"ab", b"abc", b"abcd", b"abcde"], job_id=_ID)
+@example(blobs=[_sized(_RAW_SLICE + k) for k in (0, 1, 2)], job_id=_ID)
 def test_results_body_equals_the_dict_dump(blobs, job_id):
+    """No cells, and blob lengths of 0, 1 and 2 mod 3 on both sides of
+    a slice: the chunks join to the dict dump, each fits in
+    ``RESULTS_CHUNK``, and the announced length is the body's."""
     old = json.dumps({
         "job_id": job_id,
         "count": len(blobs),
         "cells": [base64.b64encode(blob).decode("ascii") for blob in blobs],
     }, sort_keys=True).encode("utf-8")
+    chunks = list(results_chunks(job_id, blobs))
+    assert b"".join(chunks) == old
     assert results_body(job_id, blobs) == old
+    assert all(0 < len(chunk) <= RESULTS_CHUNK for chunk in chunks)
+    assert results_length(job_id, [len(blob) for blob in blobs]) == len(old)
+
+
+def _raw_get(host, port, path):
+    """``(Content-Length, every body byte until the server closes)``."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Connection: close\r\n\r\n".encode("ascii"))
+        data = b""
+        while True:
+            part = sock.recv(1 << 16)
+            if not part:
+                break
+            data += part
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].split()[1] == "200", lines[0]
+    fields = dict(line.split(": ", 1) for line in lines[1:])
+    return int(fields["Content-Length"]), body
 
 
 # ----------------------------------------------------------------------
@@ -156,22 +196,34 @@ def test_served_fleet_grid_bytes_agree_on_every_path(service):
     assert code == 200
     assert [base64.b64decode(cell) for cell in body["cells"]] == direct
 
+    length, streamed = _raw_get(host, port, f"/jobs/{job_id}/results")
+    assert length == len(streamed)
+    assert streamed == results_body(job_id, direct)
+
     root = service.root
     journal = root / "jobs" / job_id / "run.journal"
     commits = {r["data"]["index"]: r["data"]
                for r in RunJournal.replay(journal)
                if r["type"] == "cell_commit"}
     keys = cell_keys(spec.expand(), code_salt())
-    assert [decode_blob(commits[i]["result"]) for i in range(len(spec))] \
-        == direct
     assert [commits[i]["key"] for i in range(len(spec))] == keys
 
-    # One pack for the whole grid; each entry is the commit's bytes.
-    assert [path.suffix for path in (root / "cache").iterdir()
-            if path.name != ".lock"] == [".pack"]
+    # One pack for the whole grid.  Each commit points at its cell's
+    # bytes in it, which are the cache entry and the GET bytes.
+    (pack,) = [path for path in (root / "cache").iterdir()
+               if path.name != ".lock"]
+    assert pack.suffix == ".pack"
+    packed = pack.read_bytes()
     cache = SweepCache(root / "cache")
     for index, key in enumerate(keys):
-        assert cache._read(key)[0] == direct[index]
+        commit = commits[index]
+        assert set(commit) == {"index", "key", "pack", "offset", "length",
+                               "sha256"}
+        assert (journal.parent / commit["pack"]).resolve() == pack.resolve()
+        start = commit["offset"]
+        assert packed[start:start + commit["length"]] == direct[index]
+        assert commit["sha256"] == hashlib.sha256(direct[index]).hexdigest()
+        assert cache.entry(key) == direct[index]
         assert pickle.dumps(cache.get(key), protocol=4) == direct[index]
 
 
@@ -203,11 +255,13 @@ def test_a_served_grid_hashes_its_cells_once(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Retention: a finished job keeps about its pickles, not its results
+# Retention: a finished job keeps no result bytes
 # ----------------------------------------------------------------------
-def test_finished_jobs_hold_their_pickle_bytes(tmp_path):
-    """Decoded, a fleet grid's results are ~20x their pickles (every
-    series buffer, every float object); the store keeps the pickles."""
+def test_finished_jobs_hold_no_result_bytes(tmp_path):
+    """A finished job keeps its cell keys, stats and progress snapshot,
+    not its pickles (let alone the decoded results, ~20x larger): its
+    results are read back from the cache pack.  Holding the pickles,
+    as finished jobs once did, grows memory by more than their size."""
     store = JobStore(tmp_path / "state", job_runners=1)
     try:
         warm, _ = store.submit(parse_spec(fleet_grid(seed=10)))
@@ -225,6 +279,51 @@ def test_finished_jobs_hold_their_pickle_bytes(tmp_path):
             tracemalloc.stop()
         pickled = sum(len(blob) for job in jobs
                       for blob in store.result_blobs(job.job_id))
+        for job in jobs:
+            assert job.spec is None and job.runner is None
+            progress = store.status(job.job_id)["progress"]
+            assert progress["finished"] and progress["done"] == job.n_cells
     finally:
         store.close()
-    assert grown < 2.0 * pickled, (grown, pickled)
+    assert grown < 0.25 * pickled, (grown, pickled)
+
+
+def test_a_recovered_job_reads_its_keys_from_the_run_journal(tmp_path):
+    """After a restart, a finished job loads no spec; its first results
+    request hashes the keys from the run journal's ``sweep_start`` and
+    reads the cache, running and appending nothing."""
+    root = tmp_path / "state"
+    store = JobStore(root, job_runners=1)
+    try:
+        job, _ = store.submit(parse_spec(fleet_grid(seed=4)))
+        _wait([job])
+        before = store.result_blobs(job.job_id)
+    finally:
+        store.close()
+    journal = root / "jobs" / job.job_id / "run.journal"
+    size = journal.stat().st_size
+
+    again = JobStore(root, job_runners=1)
+    try:
+        recovered = again.get(job.job_id)
+        assert recovered.state == DONE
+        assert recovered.spec is None and recovered.keys is None
+        assert recovered.n_cells == job.n_cells
+        assert again.result_blobs(job.job_id) == before
+        assert recovered.keys == job.keys
+    finally:
+        again.close()
+    assert journal.stat().st_size == size
+
+
+def test_an_unreadable_result_is_a_500_before_any_body(service):
+    host, port = service.address
+    base = f"http://{host}:{port}"
+    code, ack = api(base, "POST", "/jobs", body=fleet_grid(seed=5))
+    assert code == 201
+    assert wait_for_job(base, ack["job_id"])["state"] == "done"
+    for pack in (service.root / "cache").glob("*.pack"):
+        pack.unlink()
+    code, body = api(base, "GET", f"/jobs/{ack['job_id']}/results")
+    assert code == 500
+    assert body["error"]["code"] == "results_unreadable"

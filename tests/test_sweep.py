@@ -303,8 +303,9 @@ class TestCache:
         fresh = ScenarioRunner().run(spec)
         # The one-pickle-per-cell layout: <key>.pkl holding the
         # protocol-4 result bytes.
-        for key, blob in zip(cell_keys(spec.expand(), code_salt()),
-                             fresh.blobs()):
+        for key, result in zip(cell_keys(spec.expand(), code_salt()),
+                               fresh.results):
+            blob = pickle.dumps(result, protocol=4)
             (tmp_path / f"{key}.pkl").write_bytes(blob)
         warm = ScenarioRunner(cache=tmp_path).run(spec)
         assert warm.stats.cache_hits == len(spec)
