@@ -30,22 +30,26 @@ on:
 
 Deterministic work accounting (``cells_total``, ``cells_fleet``,
 ``steps_total``, ``cache_files``) is gated exactly; rates relatively.  The serial
-reference passes an explicit executor, which keeps it off the fleet,
-so ``serial_steps_per_sec`` stays the scalar engine's rate.
+reference runs with ``FLEET_MIN_ROWS`` patched out of reach, which
+keeps it off the fleet, so ``serial_steps_per_sec`` stays the scalar
+engine's rate.
 """
 
 import base64
 import json
 import pickle
+import sys
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.reporting import format_table
 from repro.durability.journal import journal_commit_counts
 from repro.service import CapmanService, parse_spec
-from repro.sim.executors import LocalProcessExecutor
+from repro.sim import sweep
 from repro.sim.sweep import FLEET_MIN_ROWS, ScenarioRunner
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
@@ -91,7 +95,9 @@ def _measure(tmp_path):
     spec = parse_spec(GRID)
 
     t0 = time.perf_counter()
-    serial = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "FLEET_MIN_ROWS", sys.maxsize)  # scalar only
+        serial = ScenarioRunner().run(spec)
     serial_wall = time.perf_counter() - t0
 
     root = tmp_path / "service-bench"

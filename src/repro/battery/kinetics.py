@@ -52,7 +52,6 @@ __all__ = [
     "sustainable_current",
     "rate_loss",
     "well_substeps",
-    "well_substeps_array",
     "well_substep_cap",
     "well_substeps_capped",
     "step_wells",
@@ -180,13 +179,8 @@ def well_substeps(dt: float, c: float, k: float) -> int:
     return min(steps, 10_000)
 
 
-def well_substeps_array(dt: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vector twin of :func:`well_substeps` (same counts, int64 array)."""
-    return well_substeps_capped(dt, well_substep_cap(c, k))
-
-
 def well_substep_cap(c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The dt-independent part of :func:`well_substeps_array`.
+    """The dt-independent part of :func:`well_substeps`, per element.
 
     Each element's longest stable substep ``0.2 / k_eff``, floored at
     1 us; ``inf`` where ``k_eff <= 0`` (the scalar form's ``max_sub =

@@ -5,7 +5,7 @@ from .actuator import CapmanActuator
 from .baselines import DualPolicy, HeuristicPolicy, OraclePolicy, PracticePolicy
 from .calibration import CalibrationPoint, RuntimeCalibrator
 from .controller import CapmanPolicy
-from .profiler import BatteryCostModel, PowerProfiler, device_key_cache_info, device_key_of
+from .profiler import BatteryCostModel, PowerProfiler, device_key_of
 
 __all__ = [
     "CapmanActuator",
@@ -19,5 +19,4 @@ __all__ = [
     "BatteryCostModel",
     "PowerProfiler",
     "device_key_of",
-    "device_key_cache_info",
 ]

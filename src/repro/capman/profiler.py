@@ -39,7 +39,6 @@ __all__ = [
     "DeviceKey",
     "DecisionStateInterner",
     "device_key_of",
-    "device_key_cache_info",
     "BatteryCostModel",
     "PowerProfiler",
 ]
@@ -64,15 +63,9 @@ def device_key_of(demand: DemandSlice, wifi_threshold_kbps: float = 100.0) -> De
     The derivation is pure in (demand, threshold) and runs on every
     control step -- observation, dwell accounting, and the scheduler's
     state lookup all route through it -- so results are memoised
-    (``DemandSlice`` is frozen/hashable).  ``device_key_cache_info()``
-    exposes the hit/miss counters.
+    (``DemandSlice`` is frozen/hashable).
     """
     return _device_key_cached(demand, wifi_threshold_kbps)
-
-
-def device_key_cache_info():
-    """Hit/miss statistics of the memoised device-key derivation."""
-    return _device_key_cached.cache_info()
 
 
 def _selection_of(choice: str) -> BatterySelection:

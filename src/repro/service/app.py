@@ -162,12 +162,6 @@ def results_chunks(job_id: str, blobs: Sequence[bytes]) -> Iterator[bytes]:
     yield bytes(chunk)
 
 
-def results_body(job_id: str, blobs: Sequence[bytes]) -> bytes:
-    """The whole ``GET /jobs/{id}/results`` body (see
-    :func:`results_chunks`)."""
-    return b"".join(results_chunks(job_id, blobs))
-
-
 class _Handler(BaseHTTPRequestHandler):
     """Router + structured-error envelope for one connection."""
 

@@ -1,8 +1,8 @@
 """Simulation engine: control stepping, metrics, discharge cycles,
 multi-day discharge/charge/aging runs, and the scenario-sweep engine
 that drives the evaluation grids (one in-process path: a vectorised
-fleet batch first, the local process executor for the cells it
-rejects)."""
+fleet batch first, then one serial loop on the scalar engine for the
+cells it rejects)."""
 
 from .daily import DayRecord, MultiDayResult, run_days
 from .discharge import (

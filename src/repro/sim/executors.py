@@ -1,21 +1,12 @@
-"""The sweep executor: how the cells the fleet batch rejects get run.
+"""The sweep's cell primitives and its one serial loop.
 
 :class:`~repro.sim.sweep.ScenarioRunner` decides *what* to run (cache
-misses, journal replay, the fleet batch); a
-:class:`LocalProcessExecutor` runs the rest:
-
-* :meth:`LocalProcessExecutor.attach` /
-  :meth:`LocalProcessExecutor.detach` bracket one sweep and hand the
-  executor its :class:`ExecutionContext` (checkpoint sidecars,
-  commit callback);
-* :meth:`LocalProcessExecutor.submit` runs one cell in-process to a
-  final outcome -- a :data:`CellResult` or a contained
-  :class:`CellFailure`;
-* :meth:`LocalProcessExecutor.run` runs a batch serially, in
-  process, in batch order.
-
-This module also owns the cell-execution primitives (single attempt,
-sidecar checkpointing, failure capture).
+misses, journal replay, the fleet batch); the cells the fleet batch
+leaves run here, one after another in this process, through
+:meth:`LocalProcessExecutor.run`.  Every cell bottoms out in
+:func:`timed_cell`: one attempt, sidecar checkpointing and resume,
+failure capture as a :class:`CellFailure`, and ``wall_time_s``
+zeroing.
 """
 
 from __future__ import annotations
@@ -24,7 +15,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -39,7 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CellFailure",
-    "ExecutionContext",
+    "CellItem",
+    "CellOutcome",
+    "CellResult",
     "LocalProcessExecutor",
     "timed_cell",
 ]
@@ -76,7 +69,7 @@ class CellFailure:
 #: What a result slot can hold once failures are contained per cell.
 CellOutcome = Union[CellResult, CellFailure]
 
-#: The per-cell work item every backend produces:
+#: The per-cell work item both engines produce:
 #: ``(index, outcome, compute seconds, control steps)``.
 CellItem = Tuple[int, CellOutcome, float, int]
 
@@ -186,80 +179,34 @@ def timed_cell(
 
 
 # ----------------------------------------------------------------------
-# The executor
+# The serial loop
 # ----------------------------------------------------------------------
-@dataclass
-class ExecutionContext:
-    """Everything the executor needs to run one sweep's pending cells.
-
-    Built by :class:`~repro.sim.sweep.ScenarioRunner` and handed to
-    :meth:`LocalProcessExecutor.attach`; immutable for the duration of
-    one sweep.
-    """
-
-    #: index -> sidecar checkpoint path (journalled sweeps only).
-    ckpts: Dict[int, str] = field(default_factory=dict)
-    #: In-cell sidecar checkpoint cadence in control steps.
-    checkpoint_every_steps: int = 0
-    #: Durable-commit callback: called exactly once per cell index
-    #: with its final outcome, as it lands (journal commits ride on
-    #: this).
-    on_final: Optional[Callable[[int, CellOutcome], None]] = None
-    #: Dispatch callback: called when a cell starts so an external
-    #: poller can distinguish queued from running cells.  Purely advisory -- it
-    #: must never raise and never affects results.
-    on_start: Optional[Callable[[int], None]] = None
-
-    def finalise(self, index: int, outcome: CellOutcome) -> None:
-        if self.on_final is not None:
-            self.on_final(index, outcome)
-
-    def started(self, index: int) -> None:
-        if self.on_start is not None:
-            self.on_start(index)
-
-
 class LocalProcessExecutor:
     """Runs cells serially in this process, in batch order.
 
-    An instance is reusable across sweeps but never concurrently:
-    ``attach`` / ``detach`` bracket one sweep.
+    Stateless.  It is a class, not a function, only because the
+    repository benchmark's tracer (``benchmarks/perf/tracing.py``)
+    wraps ``LocalProcessExecutor.__dict__["run"]`` for its
+    ``sim.executors.run`` ledger row; the runner looks ``run`` up on
+    the class at call time so that wrapper counts every loop.
     """
 
-    #: Human-readable executor name (also the SimStats tag).
-    name = "local"
+    def run(self, cells: Sequence["ScenarioCell"], ckpts: Dict[int, str],
+            checkpoint_every_steps: int,
+            on_start: Callable[[int], None],
+            on_final: Callable[[int, CellOutcome], None]) -> List[CellItem]:
+        """Run ``cells`` to final outcomes, in batch order.
 
-    def __init__(self) -> None:
-        self._ctx: Optional[ExecutionContext] = None
-
-    # -- lifecycle -----------------------------------------------------
-    def attach(self, ctx: ExecutionContext) -> None:
-        """Bind this executor to one sweep's context."""
-        if self._ctx is not None:
-            raise RuntimeError(f"{type(self).__name__} is already attached")
-        self._ctx = ctx
-
-    def detach(self) -> None:
-        """Release the sweep binding (idempotent)."""
-        self._ctx = None
-
-    @property
-    def ctx(self) -> ExecutionContext:
-        if self._ctx is None:
-            raise RuntimeError(
-                f"{type(self).__name__} is not attached to a sweep")
-        return self._ctx
-
-    # -- execution -----------------------------------------------------
-    def submit(self, cell: "ScenarioCell") -> CellItem:
-        """Run one cell in-process to a final outcome."""
-        ctx = self.ctx
-        ctx.started(cell.index)
-        item = timed_cell(cell, ctx.ckpts.get(cell.index),
-                          ctx.checkpoint_every_steps)
-        ctx.finalise(item[0], item[1])
-        return item
-
-    def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
-        """Run a batch of cells; results come back in batch order."""
-        return [self.submit(cell) for cell in cells]
+        ``on_start`` is called with a cell's index before it runs and
+        ``on_final`` with its index and outcome after, so a cell is
+        always marked running before it commits.  ``ckpts`` maps an
+        index to its sidecar checkpoint path (journalled sweeps only).
+        """
+        items: List[CellItem] = []
+        for cell in cells:
+            on_start(cell.index)
+            item = timed_cell(cell, ckpts.get(cell.index),
+                              checkpoint_every_steps)
+            on_final(item[0], item[1])
+            items.append(item)
+        return items

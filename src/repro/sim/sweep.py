@@ -58,9 +58,9 @@ from ..device.profiles import NEXUS, PhoneProfile
 from ..durability.journal import JournalError, RunJournal, decode_blob, encode_blob
 from ..durability.lock import FileLock
 from ..workload.traces import Trace
-from .daily import MultiDayResult
-from .discharge import DischargeResult, SchedulingPolicy
-from .executors import CellFailure, ExecutionContext, LocalProcessExecutor
+from .discharge import SchedulingPolicy
+from .executors import (CellFailure, CellItem, CellOutcome, CellResult,
+                        LocalProcessExecutor)
 
 __all__ = [
     "ScenarioCell",
@@ -72,12 +72,6 @@ __all__ = [
     "ScenarioRunner",
     "CellFailure",
 ]
-
-#: Result type of a single scenario cell.
-CellResult = Union[DischargeResult, MultiDayResult]
-
-#: What a result slot can hold once failures are contained per cell.
-CellOutcome = Union[DischargeResult, MultiDayResult, CellFailure]
 
 _log = logging.getLogger(__name__)
 
@@ -657,6 +651,11 @@ class SimStats:
     #: Computed cells that ran as rows of one vectorised fleet batch
     #: (see :data:`FLEET_MIN_ROWS`); the rest ran on the scalar engine.
     cells_fleet: int = 0
+    #: Why the other computed cells ran scalar: reason -> cells, each
+    #: cell counted once under the first gate that rejected it (see
+    #: :meth:`ScenarioRunner._fleet_batch`).  ``cells_fleet`` plus
+    #: these counts is ``cells_computed``.
+    scalar_reasons: Dict[str, int] = field(default_factory=dict)
     #: Fleet batches that raised and were rerun on the scalar engine.
     fleet_fallbacks: int = 0
     #: Control steps across computed cells (cache hits excluded).
@@ -669,10 +668,6 @@ class SimStats:
     cache_wall_s: float = 0.0
     #: End-to-end wall time of ``ScenarioRunner.run`` (s).
     total_wall_s: float = 0.0
-    #: Executor backend that ran the pending cells ("local", or a
-    #: custom executor's name; "none" when no executor ran because every
-    #: cell came from cache, the journal or a fleet batch).
-    executor: str = "none"
 
     @property
     def steps_per_sec(self) -> float:
@@ -704,7 +699,7 @@ class SweepProgress:
     Built by :meth:`ScenarioRunner.progress` under the runner's
     progress lock, so an external poller (a status endpoint, another
     thread) can enumerate cell status mid-run without touching the
-    executor.  ``done`` counts every successfully finished cell
+    engines.  ``done`` counts every successfully finished cell
     regardless of how it finished -- computed, cache hit or journal
     resume -- while the per-cell mapping keeps the distinction.
     """
@@ -827,12 +822,10 @@ def _cell_matches(cell: ScenarioCell, axes: Mapping[str, Any]) -> bool:
 FLEET_MIN_ROWS = 16
 
 
-def _run_fleet_batch(
-    cells: Sequence[ScenarioCell],
-) -> Optional[List[Tuple[int, CellOutcome, float, int]]]:
+def _run_fleet_batch(cells: Sequence[ScenarioCell]) -> Optional[List[CellItem]]:
     """Run eligible cells as one vectorised batch.
 
-    Returns the same ``(index, outcome, seconds, steps)`` tuples as
+    Returns the same :data:`~repro.sim.executors.CellItem` tuples as
     :func:`~repro.sim.executors.timed_cell`; the batch wall time is
     amortised evenly over its cells so :class:`SimStats` totals stay
     meaningful.  Returns None if the batch raised: batching is an
@@ -921,12 +914,6 @@ class ScenarioRunner:
         cells (0 disables in-cell checkpoints; commit-level durability
         still applies).  For "daily" sweeps checkpoints land at day
         boundaries regardless of cadence.
-    executor:
-        A :class:`~repro.sim.executors.LocalProcessExecutor` (or a
-        subclass) to run the pending cells, or ``None`` for a fresh
-        one.  An explicit executor turns the fleet batch off: every
-        pending cell goes to it, which is how tests force the scalar
-        oracle.
 
     Exceptions raised inside a cell are contained, never retried.
 
@@ -934,15 +921,15 @@ class ScenarioRunner:
     its inputs, at most ``ceil(max_duration_s / control_dt)`` full
     control steps per cycle plus one tail step per trace segment.
 
-    Engine choice is automatic.  When no ``executor`` is passed,
-    journalled cells write no sidecar checkpoints
-    (``checkpoint_every_steps`` is 0) and obs is off, the pending
-    fleet-supported discharge cells run in this process as one
-    vectorised :class:`repro.fleet.FleetSimulator` batch -- provided
-    there are at least :data:`FLEET_MIN_ROWS` of them.  Their results are
-    bit-for-bit the scalar ones; every other cell runs serially on the
-    scalar engine, which stays the oracle.  ``SimStats.cells_fleet``
-    and ``SimStats.fleet_fallbacks`` count the choice.
+    Engine choice is automatic.  When journalled cells write no
+    sidecar checkpoints (``checkpoint_every_steps`` is 0) and obs is
+    off, the pending fleet-supported discharge cells run in this
+    process as one vectorised :class:`repro.fleet.FleetSimulator`
+    batch -- provided there are at least :data:`FLEET_MIN_ROWS` of
+    them.  Their results are bit-for-bit the scalar ones; every other
+    cell runs serially on the scalar engine, which stays the oracle.
+    ``SimStats.cells_fleet``, ``SimStats.scalar_reasons`` and
+    ``SimStats.fleet_fallbacks`` count the choice.
     """
 
     def __init__(
@@ -952,7 +939,6 @@ class ScenarioRunner:
         salt: Optional[str] = None,
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
-        executor: Optional[LocalProcessExecutor] = None,
     ) -> None:
         if workers not in (None, 1):
             raise ValueError(
@@ -963,7 +949,6 @@ class ScenarioRunner:
             cache = SweepCache(cache)
         self.cache = cache
         self._salt = salt
-        self.executor = executor
         self.journal = Path(journal) if journal is not None else None
         if checkpoint_every_steps < 0:
             raise ValueError("checkpoint_every_steps must be non-negative")
@@ -980,14 +965,6 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     def _set_state(self, index: int, state: str) -> None:
         with self._progress_lock:
-            # A terminal state never regresses to "running": a late
-            # dispatch notification (an executor whose ``on_start``
-            # lands after the cell's commit) must not make a finished
-            # cell look active.
-            if (state == "running"
-                    and self._cell_states.get(index) in _TERMINAL_OK
-                    + ("failed",)):
-                return
             self._cell_states[index] = state
 
     def progress(self) -> SweepProgress:
@@ -1100,39 +1077,61 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------
     def _fleet_batch(self, pending: Sequence[ScenarioCell],
-                     journal: Optional[RunJournal],
-                     observing: bool) -> List[ScenarioCell]:
-        """The pending cells that run as one fleet batch (maybe none).
+                     journal: Optional[RunJournal], observing: bool,
+                     resumable: AbstractSet[int],
+                     ) -> Tuple[List[ScenarioCell], Dict[str, int]]:
+        """The pending cells that run as one fleet batch (maybe none),
+        and why each other pending cell runs scalar.
 
         The fleet engine runs a batch in this process with no sidecar
         checkpoints and no per-cycle telemetry, so the batch forms only
         where neither is asked for, and only when it is big enough to
-        beat the scalar engine (:data:`FLEET_MIN_ROWS`).  The cheap
-        gates run first: :func:`repro.fleet.unsupported_reason` builds
-        a throwaway pack, which can be slow, so it runs once per
-        distinct policy object, and each rejected policy's reason is
-        logged once.
+        beat the scalar engine (:data:`FLEET_MIN_ROWS`).  Each cell left
+        out is counted once, under the first gate that rejects it:
+        ``checkpoint`` (journalled with a cadence, or resuming from a
+        sidecar), ``observed``, ``daily``, ``extra``, ``few_rows`` or
+        ``policy``.  The cheap gates run first:
+        :func:`repro.fleet.unsupported_reason` builds a throwaway pack,
+        which can be slow, so it runs only once enough plain discharge
+        cells are pending, once per distinct policy object, and each
+        rejected policy's reason is logged once.
         """
-        if (self.executor is not None
-                or (journal is not None and self.checkpoint_every_steps)
-                or observing or len(pending) < FLEET_MIN_ROWS):
-            return []
-        from ..fleet import unsupported_reason
-
-        reasons: Dict[int, Optional[str]] = {}
-        batch: List[ScenarioCell] = []
+        why: Dict[str, int] = {}
+        plain: List[ScenarioCell] = []
         for cell in pending:
-            if cell.kind != "discharge" or cell.extra:
+            if ((journal is not None and self.checkpoint_every_steps)
+                    or cell.index in resumable):
+                reason = "checkpoint"
+            elif observing:
+                reason = "observed"
+            elif cell.kind != "discharge":
+                reason = "daily"
+            elif cell.extra:
+                reason = "extra"
+            else:
+                plain.append(cell)
                 continue
-            key = id(cell.policy)
-            if key not in reasons:
-                reason = reasons[key] = unsupported_reason(cell.policy)
-                if reason is not None:
-                    _log.info("policy %r runs on the scalar engine: %s",
-                              cell.policy_key, reason)
-            if reasons[key] is None:
-                batch.append(cell)
-        return batch if len(batch) >= FLEET_MIN_ROWS else []
+            why[reason] = why.get(reason, 0) + 1
+        batch = plain
+        if len(plain) >= FLEET_MIN_ROWS:
+            from ..fleet import unsupported_reason
+
+            reasons: Dict[int, Optional[str]] = {}
+            for cell in plain:
+                key = id(cell.policy)
+                if key not in reasons:
+                    reason = reasons[key] = unsupported_reason(cell.policy)
+                    if reason is not None:
+                        _log.info("policy %r runs on the scalar engine: %s",
+                                  cell.policy_key, reason)
+            batch = [c for c in plain if reasons[id(c.policy)] is None]
+            if len(batch) < len(plain):
+                why["policy"] = len(plain) - len(batch)
+        if len(batch) < FLEET_MIN_ROWS:
+            if batch:
+                why["few_rows"] = len(batch)
+            return [], why
+        return batch, why
 
     def _run(self, spec: SweepSpec, journal: Optional[RunJournal],
              committed: Dict[int, bytes],
@@ -1310,16 +1309,16 @@ class ScenarioRunner:
                         except OSError:
                             pass
 
-            computed: List[Tuple[int, CellOutcome, float, int]] = []
-            fleet_batch = self._fleet_batch(
-                [cell for cell in pending if cell.index not in resumable],
-                journal, observing)
+            computed: List[CellItem] = []
+            fleet_batch, stats.scalar_reasons = self._fleet_batch(
+                pending, journal, observing, resumable)
             if fleet_batch:
                 for cell in fleet_batch:
                     self._set_state(cell.index, "running")
                 fleet_items = _run_fleet_batch(fleet_batch)
                 if fleet_items is None:
                     stats.fleet_fallbacks += 1
+                    stats.scalar_reasons["fleet_failed"] = len(fleet_batch)
                     for cell in fleet_batch:
                         self._set_state(cell.index, "queued")
                 else:
@@ -1332,21 +1331,10 @@ class ScenarioRunner:
                                if cell.index not in taken]
 
             if pending:
-                executor = self.executor or LocalProcessExecutor()
-                ctx = ExecutionContext(
-                    ckpts=ckpts,
-                    checkpoint_every_steps=self.checkpoint_every_steps,
-                    on_final=lambda index, outcome: _finalise(
-                        [(index, outcome)]),
-                    on_start=lambda index: self._set_state(
-                        index, "running"),
-                )
-                executor.attach(ctx)
-                try:
-                    computed.extend(executor.run(pending))
-                finally:
-                    executor.detach()
-                stats.executor = executor.name
+                computed.extend(LocalProcessExecutor().run(
+                    pending, ckpts, self.checkpoint_every_steps,
+                    lambda index: self._set_state(index, "running"),
+                    lambda index, outcome: _finalise([(index, outcome)])))
             for index, result, elapsed, steps in computed:
                 results[index] = result
                 stats.compute_wall_s += elapsed

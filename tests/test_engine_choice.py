@@ -6,14 +6,15 @@ batch once there are at least ``FLEET_MIN_ROWS`` of them; everything
 else runs on the scalar engine.  These tests pin the threshold, the
 byte-identity of both paths against per-cell ``run_discharge_cycle``,
 exactly-once journal commits across a torn-tail resume, the counted
-fallback, the logged rejection reasons, and that served jobs report
-which engine ran their cells.
+fallback, the logged rejection reasons, the reason counted for every
+scalar cell, and that served jobs report which engine ran their cells.
 """
 
 import base64
 import dataclasses
 import logging
 import pickle
+import sys
 
 import pytest
 
@@ -23,11 +24,11 @@ from repro.battery.chemistry import LCO
 from repro.battery.pack import SingleBatteryPack
 from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
-from repro.durability.journal import journal_commit_counts
+from repro.durability.journal import RunJournal, journal_commit_counts
 from repro.fleet import FleetSpec
 from repro.service import CapmanService, parse_spec
+from repro.sim import sweep
 from repro.sim.discharge import run_discharge_cycle
-from repro.sim.executors import LocalProcessExecutor
 from repro.sim.sweep import FLEET_MIN_ROWS, ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -85,6 +86,14 @@ def _bytes(result):
     return [pickle.dumps(r, protocol=4) for r in result.results]
 
 
+def _reasons(stats):
+    """``stats.scalar_reasons``, once fleet rows plus the counted
+    scalar cells are checked to be every computed cell."""
+    assert (stats.cells_fleet + sum(stats.scalar_reasons.values())
+            == stats.cells_computed)
+    return stats.scalar_reasons
+
+
 @pytest.mark.parametrize("n_cells,fleet_rows", [
     (FLEET_MIN_ROWS - 1, 0),
     (FLEET_MIN_ROWS, FLEET_MIN_ROWS),
@@ -96,6 +105,8 @@ def test_threshold_picks_the_engine_and_both_match_the_oracle(
     assert result.stats.cells_fleet == fleet_rows
     assert result.stats.fleet_fallbacks == 0
     assert result.stats.cells_computed == n_cells
+    assert _reasons(result.stats) == (
+        {} if fleet_rows else {"few_rows": n_cells})
     assert _bytes(result) == _oracle(spec)
 
 
@@ -150,6 +161,7 @@ def test_fleet_failure_is_counted_and_falls_back_to_scalar(monkeypatch):
     assert result.stats.fleet_fallbacks == 1
     assert result.stats.cells_fleet == 0
     assert result.stats.cells_computed == FLEET_MIN_ROWS
+    assert _reasons(result.stats) == {"fleet_failed": FLEET_MIN_ROWS}
     assert not result.failures
     assert _bytes(result) == _oracle(spec)
 
@@ -159,7 +171,9 @@ def test_ineligible_runners_keep_the_scalar_path(tmp_path):
     spec = _spec(FLEET_MIN_ROWS)
     runner = ScenarioRunner(journal=tmp_path / "ckpt.journal",
                             checkpoint_every_steps=10)
-    assert runner.run(spec).stats.cells_fleet == 0
+    stats = runner.run(spec).stats
+    assert stats.cells_fleet == 0
+    assert _reasons(stats) == {"checkpoint": FLEET_MIN_ROWS}
 
 
 def test_rejected_policies_log_their_reason_once(caplog):
@@ -177,6 +191,7 @@ def test_rejected_policies_log_their_reason_once(caplog):
         result = ScenarioRunner().run(spec)
     assert result.stats.cells_fleet == FLEET_MIN_ROWS
     assert result.stats.cells_computed == FLEET_MIN_ROWS + 4
+    assert _reasons(result.stats) == {"policy": 4}
     messages = [record.getMessage() for record in caplog.records
                 if "runs on the scalar engine" in record.getMessage()]
     assert messages == [
@@ -193,11 +208,38 @@ def test_observed_sweeps_stay_scalar_and_export_the_counters():
         result = ScenarioRunner().run(_spec(FLEET_MIN_ROWS))
     finally:
         obs.disable()
-    assert result.stats.cells_fleet == 0
+    assert _reasons(result.stats) == {"observed": FLEET_MIN_ROWS}
     counters = result.telemetry.counters
     assert counters["sweep.cells_fleet"] == 0
     assert counters["sweep.fleet_fallbacks"] == 0
     assert counters["sweep.cells_computed"] == FLEET_MIN_ROWS
+
+
+@pytest.mark.parametrize("reason,spec", [
+    ("daily", SweepSpec(policies={"d": DualPolicy(capacity_mah=20.0)},
+                        traces={"video": _TRACE}, kind="daily",
+                        max_duration_s=600.0, extra={"n_days": 1})),
+    ("extra", dataclasses.replace(_spec(FLEET_MIN_ROWS),
+                                  extra={"brownout_limit": 3})),
+], ids=["daily", "extra"])
+def test_daily_and_extra_cells_are_counted_as_scalar(reason, spec):
+    assert _reasons(ScenarioRunner().run(spec).stats) == {reason: len(spec)}
+
+
+def test_a_cell_resuming_from_a_sidecar_is_counted_as_checkpoint(
+        tmp_path):
+    """Every cell started, none committed, and a sidecar for cell 0:
+    cell 0 resumes from it, and the other 15 are too few to batch."""
+    journal = tmp_path / "run.journal"
+    ScenarioRunner(journal=journal).run(_spec(FLEET_MIN_ROWS))
+    _tear_at_commit(journal, 0)
+    key = RunJournal.replay(journal)[1]["data"]["key"]
+    (tmp_path / "run.journal.d" / f"cell-{key[:16]}.ckpt").write_bytes(
+        b"not a checkpoint")
+    stats = ScenarioRunner(journal=journal).resume().stats
+    assert stats.cells_checkpoint_resumed == 1
+    assert _reasons(stats) == {"checkpoint": 1,
+                               "few_rows": FLEET_MIN_ROWS - 1}
 
 
 @pytest.fixture()
@@ -221,6 +263,8 @@ def test_served_jobs_report_the_engine_that_ran_them(service):
         assert status["state"] == "done"
         assert status["stats"]["cells_fleet"] == fleet_rows
         assert status["stats"]["fleet_fallbacks"] == 0
+        assert status["stats"]["scalar_reasons"] == (
+            {} if fleet_rows else {"few_rows": 3})
 
 
 def test_served_four_policy_grid_runs_every_cell_on_the_fleet(service):
@@ -254,7 +298,8 @@ def test_served_four_policy_grid_runs_every_cell_on_the_fleet(service):
     code, results = api(base, "GET", f"/jobs/{ack['job_id']}/results")
     assert code == 200
     served = [base64.b64decode(cell) for cell in results["cells"]]
-    scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(
-        parse_spec(grid))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "FLEET_MIN_ROWS", sys.maxsize)  # scalar only
+        scalar = ScenarioRunner().run(parse_spec(grid))
     assert scalar.stats.cells_fleet == 0
     assert served == _bytes(scalar)

@@ -1,14 +1,22 @@
-"""Tests for the LocalProcessExecutor interface: attach/detach, batch
-runs with per-cell commits, and custom executors."""
+"""Tests for the sweep's serial scalar loop, driven through
+``ScenarioRunner``: failure containment, commit order and progress."""
 
 import pytest
 
 from repro.capman.baselines import DualPolicy
-from repro.sim.executors import (CellFailure, ExecutionContext,
-                                 LocalProcessExecutor)
+from repro.durability.journal import RunJournal
+from repro.sim import executors
+from repro.sim.executors import CellFailure
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
+
+
+class _RaisingPolicy(DualPolicy):
+    """A policy whose cell raises inside the simulator."""
+
+    def build_pack(self):
+        raise RuntimeError("synthetic cell failure")
 
 
 @pytest.fixture(scope="module")
@@ -26,51 +34,49 @@ def _spec(trace, **kwargs):
     return SweepSpec(**defaults)
 
 
-class TestInterface:
-    def test_attach_detach_lifecycle(self):
-        ex = LocalProcessExecutor()
-        with pytest.raises(RuntimeError):
-            _ = ex.ctx  # unattached
-        ctx = ExecutionContext()
-        ex.attach(ctx)
-        assert ex.ctx is ctx
-        with pytest.raises(RuntimeError):
-            ex.attach(ctx)  # double attach
-        ex.detach()
-        ex.detach()  # idempotent
-        ex.attach(ctx)  # reusable after detach
-        ex.detach()
+def _records(journal, kind):
+    return [r["data"] for r in RunJournal.replay(journal) if r["type"] == kind]
 
-    def test_base_executor_runs_cells_and_finalises(self, trace):
-        committed = []
-        ex = LocalProcessExecutor()
-        ex.attach(ExecutionContext(
-            on_final=lambda index, outcome: committed.append(index)))
-        cells = _spec(trace).expand()
-        items = ex.run(cells)
-        ex.detach()
-        assert [item[0] for item in items] == [cell.index for cell in cells]
-        assert committed == [cell.index for cell in cells]
-        assert not any(isinstance(item[1], CellFailure) for item in items)
 
-    def test_runner_reports_executor_name(self, trace):
-        result = ScenarioRunner().run(_spec(trace))
-        assert result.stats.executor == "local"
-        # Everything-from-cache sweeps never touch an executor.
-        again = ScenarioRunner()
-        cached = again.run(_spec(trace))
-        assert cached.stats.executor == "local"
+class TestSerialLoop:
+    def test_raising_cell_is_a_failure_and_is_not_committed(self, trace,
+                                                            tmp_path):
+        journal = tmp_path / "run.journal"
+        spec = _spec(trace, policies={
+            "Good": DualPolicy(capacity_mah=40.0),
+            "Bad": _RaisingPolicy(capacity_mah=40.0)})
+        runner = ScenarioRunner(journal=journal)
+        result = runner.run(spec)
+        bad = result.get(policy="Bad")
+        assert isinstance(bad, CellFailure)
+        assert (bad.error_type, bad.attempts) == ("RuntimeError", 1)
+        assert result.stats.cells_failed == 1
+        assert [c["index"] for c in _records(journal, "cell_commit")] == [0]
+        assert runner.progress().cells == {0: "done", 1: "failed"}
 
-    def test_custom_executor_is_used(self, trace):
-        class Recording(LocalProcessExecutor):
-            name = "recording"
-            seen = []
+    def test_journalled_scalar_sweep_commits_in_cell_order(self, trace,
+                                                           tmp_path):
+        journal = tmp_path / "run.journal"
+        spec = _spec(trace, policies={
+            f"Dual{i}": DualPolicy(capacity_mah=30.0 + 10.0 * i)
+            for i in range(4)})
+        result = ScenarioRunner(journal=journal).run(spec)
+        assert result.stats.cells_fleet == 0
+        assert [c["index"] for c in _records(journal, "cell_commit")] == [
+            0, 1, 2, 3]
 
-            def run(self, cells):
-                self.seen.append(len(cells))
-                return super().run(cells)
+    def test_progress_shows_running_before_done(self, trace, monkeypatch):
+        runner = ScenarioRunner()
+        seen = []
+        timed_cell = executors.timed_cell
 
-        ex = Recording()
-        result = ScenarioRunner(executor=ex).run(_spec(trace))
-        assert result.stats.executor == "recording"
-        assert ex.seen == [1]
+        def spying(cell, *args):
+            seen.append(("before", runner.progress().cells[cell.index]))
+            item = timed_cell(cell, *args)
+            seen.append(("after", runner.progress().cells[cell.index]))
+            return item
+
+        monkeypatch.setattr(executors, "timed_cell", spying)
+        runner.run(_spec(trace))
+        assert seen == [("before", "running"), ("after", "running")]
+        assert runner.progress().cells == {0: "done"}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, NEXUS
 from repro.fleet import DeviceSpec, FleetSpec
 from repro.sim.discharge import run_discharge_cycle
-from repro.sim.executors import LocalProcessExecutor
+from repro.sim import sweep
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -195,7 +196,9 @@ def test_sweep_fleet_backend_honours_shards_env():
         ambients_c=(25.0, 30.0, 35.0, 40.0),
         max_duration_s=MAX_DURATION_S,
     )
-    scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "FLEET_MIN_ROWS", sys.maxsize)  # scalar only
+        scalar = ScenarioRunner().run(spec)
     fleet = ScenarioRunner().run(spec)
     assert fleet.stats.cells_fleet == 16
     assert len(fleet.results) == len(scalar.results) == 16

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.device.profiles import HONOR, LENOVO, NEXUS
 from repro.fleet import (DeviceSpec, FleetSpec, UnsupportedDeviceError,
                          unsupported_reason)
 from repro.sim.discharge import run_discharge_cycle
-from repro.sim.executors import LocalProcessExecutor
+from repro.sim import sweep
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
 from repro.workload.traces import record_trace
@@ -324,9 +325,11 @@ def _sweep_spec() -> SweepSpec:
 
 def test_sweep_fleet_backend_matches_scalar_backend():
     """The default in-process runner batches all 20 cells, Practice
-    included; an explicit executor keeps every cell on the scalar
-    engine."""
-    scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(_sweep_spec())
+    included; with ``FLEET_MIN_ROWS`` out of reach every cell runs on
+    the scalar engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "FLEET_MIN_ROWS", sys.maxsize)  # scalar only
+        scalar = ScenarioRunner().run(_sweep_spec())
     fleet = ScenarioRunner().run(_sweep_spec())
 
     assert len(fleet.results) == len(scalar.results) == 20

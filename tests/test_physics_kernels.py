@@ -164,16 +164,6 @@ def test_step_wells_shape_invariant():
         assert bits(s2) == bits(float(a2[i]))
 
 
-def test_well_substeps_array_matches_scalar():
-    dts = RNG.uniform(0.05, 900.0, 256)
-    cs = RNG.uniform(0.2, 0.8, 256)
-    ks = RNG.uniform(1e-5, 0.5, 256)
-    vec = K.well_substeps_array(dts, cs, ks)
-    for i in range(len(dts)):
-        assert K.well_substeps(float(dts[i]), float(cs[i]), float(ks[i])) \
-            == int(vec[i])
-
-
 def test_transient_alpha_is_np_exp_and_memoised():
     assert bits(K.transient_alpha(2.0, 37.0)) \
         == bits(float(np.exp(np.float64(-2.0 / 37.0))))

@@ -135,13 +135,13 @@ class TestSyscallMdp:
 
 class TestDeviceKeyCache:
     def test_memoised_derivation_counts_hits(self):
-        from repro.capman.profiler import device_key_cache_info
+        from repro.capman.profiler import _device_key_cached
 
         demand = DemandSlice(cpu_util=42.0, screen_on=True, wifi_kbps=7.0)
-        before = device_key_cache_info()
+        before = _device_key_cached.cache_info()
         first = device_key_of(demand)
         again = device_key_of(demand)
-        after = device_key_cache_info()
+        after = _device_key_cached.cache_info()
         assert first == again
         assert after.hits >= before.hits + 1
 

@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 from repro.durability.journal import RunJournal
 from repro.service import CapmanService, parse_spec
 from repro.service import jobs as jobs_module
-from repro.service.app import (_RAW_SLICE, RESULTS_CHUNK, results_body,
-                               results_chunks, results_length)
+from repro.service.app import (_RAW_SLICE, RESULTS_CHUNK, results_chunks,
+                               results_length)
 from repro.service.jobs import DONE, FAILED, JobStore, job_id_for
 from repro.sim import sweep as sweep_module
 from repro.sim.sweep import (FLEET_MIN_ROWS, ScenarioRunner, SweepCache,
@@ -143,7 +143,6 @@ def test_results_body_equals_the_dict_dump(blobs, job_id):
     }, sort_keys=True).encode("utf-8")
     chunks = list(results_chunks(job_id, blobs))
     assert b"".join(chunks) == old
-    assert results_body(job_id, blobs) == old
     assert all(0 < len(chunk) <= RESULTS_CHUNK for chunk in chunks)
     assert results_length(job_id, [len(blob) for blob in blobs]) == len(old)
 
@@ -198,7 +197,7 @@ def test_served_fleet_grid_bytes_agree_on_every_path(service):
 
     length, streamed = _raw_get(host, port, f"/jobs/{job_id}/results")
     assert length == len(streamed)
-    assert streamed == results_body(job_id, direct)
+    assert streamed == b"".join(results_chunks(job_id, direct))
 
     root = service.root
     journal = root / "jobs" / job_id / "run.journal"

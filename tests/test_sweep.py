@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import pickle
+import sys
 import threading
 import time
 
@@ -198,13 +199,16 @@ class TestParallelEqualsSerial:
         the daily cells reach the serial executor, with results equal
         to the scalar oracle's."""
         spec = _mixed_spec(trace)
-        scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "FLEET_MIN_ROWS", sys.maxsize)
+            scalar = ScenarioRunner().run(spec)
+        assert scalar.stats.cells_fleet == 0
         handed = []
         run = LocalProcessExecutor.run
 
-        def recording_run(self, cells):
+        def recording_run(self, cells, *args):
             handed.append([cell.index for cell in cells])
-            return run(self, cells)
+            return run(self, cells, *args)
 
         monkeypatch.setattr(LocalProcessExecutor, "run", recording_run)
         mixed = ScenarioRunner().run(spec)
@@ -219,7 +223,9 @@ class TestParallelEqualsSerial:
     def test_failed_fleet_batch_falls_back_to_the_serial_executor(
             self, trace, monkeypatch):
         spec = _mixed_spec(trace)
-        scalar = ScenarioRunner(executor=LocalProcessExecutor()).run(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "FLEET_MIN_ROWS", sys.maxsize)
+            scalar = ScenarioRunner().run(spec)
         monkeypatch.setattr(sweep_module, "_run_fleet_batch",
                             lambda cells: None)
         fallen_back = ScenarioRunner().run(spec)
